@@ -13,10 +13,11 @@
  *      from the in-memory hot cache or the store), cold requests are
  *      fresh single-day specs (each simulates once; concurrent
  *      duplicates dedup in flight);
- *   3. cold-heavy coalescing A/B: the same stream of batch=8 cold
- *      specs against two fresh services — scheduler off, then
- *      --coalesce on — reporting the cross-request batching speedup
- *      (the ISSUE-10 >=2x-at-16-clients measure).
+ *   3. cold-heavy coalescing A/B: the same stream of batch=N cold
+ *      specs (N = COOLAIR_SERVE_COALESCE) against two fresh services —
+ *      scheduler off, then --coalesce N on — reporting the
+ *      cross-request batching speedup at 16 clients and the service's
+ *      worker count.
  *
  * Environment knobs (strict util::envInt parsing):
  *   COOLAIR_SERVE_CLIENTS   client threads        (default 8)
@@ -42,7 +43,9 @@
  * per mixed request, with specs_per_s and latency_p50/p95/p99_ms
  * counters), and BM_ServeColdSolo / BM_ServeColdCoalesced (phase 3;
  * the coalesced entry carries coalesce_speedup, gated >= 2x by
- * compare_bench.py).  Regenerate the committed baseline with:
+ * compare_bench.py).  The context block records num_cpus, the build
+ * type, and the service's worker count.  Regenerate the committed
+ * baseline with:
  *   build/bench/bench_serve --benchmark_out=bench/BENCH_serve.json \
  *       --benchmark_out_format=json
  *
@@ -56,7 +59,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -115,41 +117,6 @@ struct BenchEntry
     std::vector<std::pair<std::string, double>> counters;
 };
 
-/**
- * DESIGN.md §10 tolerance compare of two formatResult payloads: same
- * keys in the same order, every numeric value within 2% relative or
- * 0.02 absolute.  Coalesced lanes may land in a different batch
- * composition than the solo run of the same spec, and SoA kernels
- * reassociate differently per width — bytes can drift at the last
- * ulp, the contract is the tolerance (byte-identity holds only for
- * identical lane sets; tests/test_serve.cpp locks that).
- */
-bool
-payloadsWithinTolerance(const std::string &a, const std::string &b)
-{
-    std::istringstream ia(a), ib(b);
-    std::string la, lb;
-    for (;;) {
-        const bool ga = bool(std::getline(ia, la));
-        const bool gb = bool(std::getline(ib, lb));
-        if (ga != gb)
-            return false;
-        if (!ga)
-            return true;
-        if (la == lb)
-            continue;
-        const size_t ea = la.find('='), eb = lb.find('=');
-        if (ea == std::string::npos || la.substr(0, ea) != lb.substr(0, eb))
-            return false;
-        char *end = nullptr;
-        const double va = std::strtod(la.c_str() + ea + 1, &end);
-        const double vb = std::strtod(lb.c_str() + eb + 1, &end);
-        if (std::fabs(va - vb) >
-            std::max(0.02, 0.02 * std::max(std::fabs(va), std::fabs(vb))))
-            return false;
-    }
-}
-
 /** The value below which @p q of the sorted samples fall. */
 double
 quantileOf(const std::vector<double> &sorted, double q)
@@ -169,7 +136,7 @@ quantileOf(const std::vector<double> &sorted, double q)
  * warnings, one object per benchmark with real_time in ns).
  */
 bool
-writeBenchJson(const std::string &path,
+writeBenchJson(const std::string &path, int workers,
                const std::vector<BenchEntry> &entries)
 {
     std::ofstream out(path, std::ios::trunc);
@@ -179,6 +146,7 @@ writeBenchJson(const std::string &path,
         << "    \"executable\": \"bench_serve\",\n"
         << "    \"num_cpus\": " << std::thread::hardware_concurrency()
         << ",\n"
+        << "    \"workers\": " << workers << ",\n"
         << "    \"library_build_type\": \""
 #ifdef NDEBUG
            "release"
@@ -373,12 +341,12 @@ main(int argc, char **argv)
     server.stop();
 
     // Phase 3: cold-heavy coalescing A/B.  The same stream of cold
-    // batch=8 specs (same shape, distinct seeds — exactly what a sweep
+    // batch=N specs (same shape, distinct seeds — exactly what a sweep
     // fan-out or many parameter-study clients produce) is driven at
     // two fresh services: scheduler off, then on.  Every coalesced
-    // response must match the solo service's answer for the same spec
-    // within the §10 tolerance (lane sets differ between the passes,
-    // so last-ulp byte drift is the documented contract).
+    // response must be byte-identical to the solo service's answer for
+    // the same spec: a lane's bytes do not depend on which lanes share
+    // its engine (DESIGN.md §10).
     const int co_lanes = util::envInt("COOLAIR_SERVE_COALESCE", 16, 0, 64);
     const int co_clients =
         util::envInt("COOLAIR_SERVE_COALESCE_CLIENTS", 16, 1, 256);
@@ -434,8 +402,7 @@ main(int argc, char **argv)
                         } else {
                             auto it = solo_bytes.find(line);
                             if (it == solo_bytes.end() ||
-                                !payloadsWithinTolerance(it->second,
-                                                         r.payload))
+                                it->second != r.payload)
                                 ++cold_fails[size_t(c)];
                         }
                     }
@@ -451,10 +418,10 @@ main(int argc, char **argv)
             for (int f : cold_fails)
                 failed += f;
 
-            std::printf("cold %s: %zu batch=%d specs, %d clients in "
-                        "%.2f s -> %.1f specs/s\n",
+            std::printf("cold %s: %zu batch=%d specs, %d clients, %d "
+                        "workers in %.2f s -> %.1f specs/s\n",
                         coalesce ? "coalesced" : "solo", co_total,
-                        co_lanes, co_clients, wall_s,
+                        co_lanes, co_clients, svc.threads(), wall_s,
                         double(co_total) / wall_s);
             serve::Client admin =
                 serve::Client::connectUnix(scfg.unixPath);
@@ -524,7 +491,7 @@ main(int argc, char **argv)
         for (BenchEntry &e : entries)
             if (std::regex_search(e.name, re))
                 kept.push_back(std::move(e));
-        if (!writeBenchJson(out_path, kept)) {
+        if (!writeBenchJson(out_path, service.threads(), kept)) {
             std::fprintf(stderr, "bench_serve: cannot write '%s'\n",
                          out_path.c_str());
             return 2;

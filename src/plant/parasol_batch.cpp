@@ -74,24 +74,26 @@ BatchedPlant::BatchedPlant(const PlantConfig &config,
     _intakeC.assign(L, 0.0);
     _intakeAbs.assign(L, 0.0);
 
-    _expArg.assign(PL + 2 * L, 0.0);
-    _expVal.assign(PL + 2 * L, 0.0);
+    // Scratch of the transcendental passes is padded to whole vectors
+    // (kernels::paddedLength); the padding starts and stays finite.
+    const size_t LP = size_t(kernels::paddedLength(_lanes));
+    _expArg.assign(size_t(kernels::paddedLength(int(PL + 2 * L))), 0.0);
+    _expVal.assign(_expArg.size(), 0.0);
     _target.assign(PL, 0.0);
-    _suppress.assign(L, 0.0);
+    _suppress.assign(LP, 0.0);
     _recircTotal.assign(L, 0.0);
     _localSup.assign(L, 0.0);
     _acSupply.assign(L, 0.0);
     _hotTarget.assign(L, 0.0);
     _humTarget.assign(L, 0.0);
     _podTempSum.assign(L, 0.0);
-    _coldAvg.assign(L, 0.0);
+    _coldAvg.assign(LP, 0.0);
     _awakeSum.assign(L, 0.0);
     _outTempC.assign(L, 0.0);
     _outAbsHumidity.assign(L, 0.0);
-    _svpA.assign(L, 0.0);
-    _svpB.assign(L, 0.0);
-    _tmpA.assign(L, 0.0);
-    _tmpB.assign(L, 0.0);
+    _svpA.assign(LP, 0.0);
+    _svpB.assign(LP, 0.0);
+    _tmpA.assign(LP, 0.0);
 }
 
 void
@@ -240,10 +242,12 @@ BatchedPlant::readSensors(SensorReadings *out)
     const int npairs = (fresh + 1) / 2;
     const bool carry = (fresh % 2) == 1;
 
-    _u1.resize(size_t(npairs) * size_t(L));
-    _u2.resize(size_t(npairs) * size_t(L));
-    _zCos.resize(size_t(npairs) * size_t(L));
-    _zSin.resize(size_t(npairs) * size_t(L));
+    const size_t n_pairs = size_t(npairs) * size_t(L);
+    const int n_box = kernels::paddedLength(int(n_pairs));
+    _u1.resize(size_t(n_box));
+    _u2.resize(size_t(n_box));
+    _zCos.resize(size_t(n_box));
+    _zSin.resize(size_t(n_box));
     _draws.resize(size_t(n_draws) * size_t(L));
 
     for (int l = 0; l < L; ++l) {
@@ -258,8 +262,12 @@ BatchedPlant::readSensors(SensorReadings *out)
             _u2[k] = rng.uniform();
         }
     }
+    // Whole-vector padding (kernels::paddedLength): u1 = 0.5 keeps the
+    // log finite.  Refilled every call, since the kernel clobbers u1/u2.
+    std::fill(_u1.begin() + ptrdiff_t(n_pairs), _u1.end(), 0.5);
+    std::fill(_u2.begin() + ptrdiff_t(n_pairs), _u2.end(), 0.0);
     kernels::boxMullerN(_u1.data(), _u2.data(), _zCos.data(),
-                        _zSin.data(), npairs * L);
+                        _zSin.data(), n_box);
 
     // Distribute: optional spare first, then cos/sin per pair; an odd
     // fresh count leaves the final sin as the next call's spare.
@@ -323,9 +331,11 @@ BatchedPlant::readSensors(SensorReadings *out)
                 _diskTempC[size_t(i) * size_t(L) + size_t(l)];
     }
 
-    // Phase 2: humidity conversions with batched saturation pressures.
-    physics::saturationVaporPressureN(_coldAvg.data(), _svpA.data(), L);
-    physics::saturationVaporPressureN(_tmpA.data(), _svpB.data(), L);
+    // Phase 2: humidity conversions with batched saturation pressures,
+    // over whole vectors (the padding of both inputs stays 0).
+    const int n_svp = kernels::paddedLength(L);
+    physics::saturationVaporPressureN(_coldAvg.data(), _svpA.data(), n_svp);
+    physics::saturationVaporPressureN(_tmpA.data(), _svpB.data(), n_svp);
     for (int l = 0; l < L; ++l) {
         const double *dr = _draws.data() + size_t(l) * size_t(n_draws);
         SensorReadings &o = out[l];

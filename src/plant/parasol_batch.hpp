@@ -24,6 +24,11 @@
  *    util::Rng::normal so every lane consumes the same uniforms as its
  *    scalar twin.
  *
+ * Every transcendental pass runs over a whole number of vectors
+ * (kernels::paddedLength), so each element goes through the same
+ * libmvec code at any lane count: a lane's results are byte-identical
+ * whichever lanes share its plant.
+ *
  * Branches on actuator/evaporative state are confined to the O(lanes)
  * per-lane prologue; the O(pods x lanes) loops are branch-free.
  */
@@ -165,7 +170,7 @@ class BatchedPlant
     std::vector<double> _podTempSum, _coldAvg, _awakeSum;
     std::vector<double> _outTempC, _outAbsHumidity;
     std::vector<double> _u1, _u2, _zCos, _zSin, _draws, _newSpare;
-    std::vector<double> _svpA, _svpB, _tmpA, _tmpB;
+    std::vector<double> _svpA, _svpB, _tmpA;
 };
 
 } // namespace plant

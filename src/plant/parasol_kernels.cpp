@@ -255,11 +255,17 @@ BatchedPlant::stepPhysics(double dt_s,
     }
 
     // --- Recirculation suppression: one exp pass over the lanes -------
+    // Both exp passes run over whole vectors (kernels::paddedLength)
+    // with zero padded arguments.  This pass's padding overlaps last
+    // step's pod arguments, so it is zeroed here; the second pass's
+    // padding lies past every argument and stays zero from construction.
     const double max_fc = std::max(_config.maxFcAirflow, 1e-9);
+    const int n_sup = kernels::paddedLength(L);
     for (int l = 0; l < L; ++l)
         exp_arg[l] =
             -6.0 * (_qFc[size_t(l)] + _qAc[size_t(l)]) / max_fc;
-    kernels::expN(exp_arg, suppress, L);
+    std::fill(exp_arg + L, exp_arg + n_sup, 0.0);
+    kernels::expN(exp_arg, suppress, n_sup);
 
     const double ac_cap = _config.acCapacityW;
     const double ac_floor = _config.acSupplyFloorC;
@@ -318,7 +324,7 @@ BatchedPlant::stepPhysics(double dt_s,
         exp_arg + hum_base);
 
     // --- One exp pass for every relaxation of this step ---------------
-    const int n_exp = pods * L + 2 * L;
+    const int n_exp = kernels::paddedLength(pods * L + 2 * L);
     kernels::expN(exp_arg, _expVal.data(), n_exp);
     const double *exp_val = _expVal.data();
 

@@ -15,6 +15,25 @@ namespace coolair {
 namespace plant {
 namespace kernels {
 
+/**
+ * Transcendental passes over lane-indexed arrays run over a length
+ * rounded up to this many doubles: one 512-bit vector, the widest the
+ * kernel TUs target.  A vectorized loop evaluates exp/log/sin/cos
+ * through libmvec in its body but through scalar libm in its tail, and
+ * the two can round differently; on a whole number of vectors no
+ * element reaches the tail, so a lane's bytes do not depend on how many
+ * lanes share the engine (DESIGN.md §10).  Callers size their scratch
+ * to paddedLength() and keep the padding finite.
+ */
+constexpr int kPassWidth = 8;
+
+/** @p n rounded up to a whole number of kPassWidth vectors. */
+constexpr int
+paddedLength(int n)
+{
+    return (n + kPassWidth - 1) / kPassWidth * kPassWidth;
+}
+
 /** out[i] = exp(x[i]). */
 void expN(const double *x, double *out, int n);
 

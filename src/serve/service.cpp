@@ -28,9 +28,9 @@ latencyBuckets()
     return bounds;
 }
 
-/** serve.lane_fill bucket bounds: how full dispatched batches were.
-    Small counts exact, larger ones coarsening — lane targets past 32
-    are off the efficiency curve anyway (DESIGN.md §10). */
+/** serve.lane_fill bucket bounds: how many lanes each engine run
+    got.  Small counts exact, larger ones coarsening — lane targets past
+    32 are off the efficiency curve anyway (DESIGN.md §10). */
 const std::vector<double> &
 laneFillBuckets()
 {
@@ -78,7 +78,7 @@ ExperimentService::ExperimentService(ServiceConfig config)
           "serve.parked", "submissions currently parked for coalescing",
           obs::kWallClock)),
       _laneFill(_stats.histogram("serve.lane_fill",
-                                 "lanes per dispatched batch",
+                                 "lanes per batched engine run",
                                  obs::kWallClock, laneFillBuckets())),
       _latency(_stats.histogram("serve.latency_seconds",
                                 "submit-to-done wall latency [s]",
@@ -427,7 +427,6 @@ void
 ExperimentService::dispatchBatch(const ParkedBatchPtr &batch, bool full)
 {
     (full ? _fullDispatches : _partialDispatches).inc();
-    _laneFill.record(double(batch->jobs.size()));
 
     obs::Tracer &tracer = obs::Tracer::instance();
     batch->dispatchUs = tracer.nowUs();
@@ -442,40 +441,61 @@ ExperimentService::dispatchBatch(const ParkedBatchPtr &batch, bool full)
                                       obs::threadTrack(), job->traceId);
     }
 
-    _pool.submit([this, batch] { runBatch(batch); });
+    // Split the lane set across the idle workers: min(lanes, idle)
+    // near-equal contiguous sub-batches, each its own engine run on its
+    // own worker.  A lane's bytes do not depend on its lane set
+    // (DESIGN.md §10), so the split changes no answer.  With every
+    // worker busy the set runs whole: smaller engines cost more per
+    // lane and would only queue behind the busy ones.  A full set's
+    // sub-batches run at their own width; a window-expired set keeps
+    // the lane target as its width, so its lanes count as ragged.
+    const size_t n = batch->jobs.size();
+    const size_t threads = size_t(_pool.threads());
+    const size_t busy = std::min(_pool.pending(), threads);
+    const size_t parts = std::max<size_t>(1, std::min(n, threads - busy));
+    size_t begin = 0;
+    for (size_t p = 0; p < parts; ++p) {
+        const size_t end = begin + n / parts + (p < n % parts ? 1 : 0);
+        const int width = full ? int(end - begin) : _config.coalesceLanes;
+        _laneFill.record(double(end - begin));
+        _pool.submit([this, batch, begin, end, width] {
+            runBatch(*batch, begin, end, width);
+        });
+        begin = end;
+    }
 }
 
 void
-ExperimentService::runBatch(const ParkedBatchPtr &batch)
+ExperimentService::runBatch(const ParkedBatch &batch, size_t begin,
+                            size_t end, int width)
 {
     if (_config.onJobStart)
         _config.onJobStart();
 
-    const size_t n = batch->jobs.size();
-    _runs.add(int64_t(n));
+    _runs.add(int64_t(end - begin));
     obs::Tracer &tracer = obs::Tracer::instance();
 
     // Per-lane pre-start hook: a throw fails just that lane; the
-    // survivors still run as a smaller batch (lane results are
-    // composition-independent, so their answers are unchanged).
-    std::vector<std::string> preError(n);
+    // survivors still run as a smaller batch (lane results do not
+    // depend on the lane set, so their answers are unchanged).
+    std::vector<std::string> preError(end - begin);
     std::vector<sim::ExperimentSpec> live;
     std::vector<size_t> liveIndex;
-    live.reserve(n);
-    liveIndex.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
+    live.reserve(end - begin);
+    liveIndex.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
         if (_config.onLaneStart) {
             try {
-                _config.onLaneStart(batch->specs[i]);
+                _config.onLaneStart(batch.specs[i]);
             } catch (const std::exception &e) {
-                preError[i] = e.what();
+                preError[i - begin] = e.what();
                 continue;
             } catch (...) {
-                preError[i] = "unknown exception";
+                preError[i - begin] = "unknown exception";
                 continue;
             }
         }
-        live.push_back(batch->specs[i]);
+        live.push_back(batch.specs[i]);
         liveIndex.push_back(i);
     }
 
@@ -487,10 +507,10 @@ ExperimentService::runBatch(const ParkedBatchPtr &batch)
         // request; every joined request still gets its own serve.lane
         // span below.
         obs::TraceContextScope scope(
-            batch->jobs[liveIndex.front()]->traceId);
+            batch.jobs[liveIndex.front()]->traceId);
         obs::Span span("serve.batch_run", "serve");
         try {
-            lanes = sim::runBatchedGroup(live, _config.coalesceLanes);
+            lanes = sim::runBatchedGroup(live, width);
         } catch (const std::exception &e) {
             batchError = e.what();
         } catch (...) {
@@ -500,22 +520,22 @@ ExperimentService::runBatch(const ParkedBatchPtr &batch)
     const int64_t runEndUs = tracer.nowUs();
 
     size_t liveSlot = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const JobPtr &job = batch->jobs[i];
+    for (size_t i = begin; i < end; ++i) {
+        const JobPtr &job = batch.jobs[i];
         // The request's trace shows the dispatch gap and its own lane
         // span; recorded before complete() extracts the trace.
         if (_config.traceDepth > 0 && job->traceId != 0) {
             tracer.recordComplete("serve.batch_dispatch", "serve",
-                                  batch->dispatchUs,
-                                  runStartUs - batch->dispatchUs,
+                                  batch.dispatchUs,
+                                  runStartUs - batch.dispatchUs,
                                   obs::threadTrack(), job->traceId);
             tracer.recordComplete("serve.lane", "serve", runStartUs,
                                   runEndUs - runStartUs,
                                   obs::threadTrack(), job->traceId);
         }
-        if (!preError[i].empty()) {
+        if (!preError[i - begin].empty()) {
             _runFailures.inc();
-            complete(job, false, std::move(preError[i]));
+            complete(job, false, std::move(preError[i - begin]));
             continue;
         }
         const size_t slot = liveSlot++;

@@ -37,17 +37,20 @@
  * whose spec opts in with batch > 0 are *parked* in a per-shape
  * collection queue (sim::batchShapeKey — every field but location,
  * seed, and output paths) instead of dispatching immediately.  A
- * queue dispatches to sim::runBatchedGroup as one SoA batch either
- * when it fills to coalesceLanes (full dispatch) or when its oldest
- * entry has waited coalesceWaitMs (partial dispatch by the collector
- * thread) — so lane fill rides offered load and latency never stalls
- * past the window.  Per-lane failures resolve only their own request;
- * dedup joiners attach to the parked entry like any in-flight job.
- * Lane results land under each spec's own result-cache id (batched
- * identity — batch=N is part of the id) and honor the DESIGN.md §10
- * tolerance contract; lane results are composition-independent, so a
- * coalesced answer is byte-identical to the same lane set submitted
- * directly as one batch (locked by tests).
+ * queue dispatches either when it fills to coalesceLanes (full
+ * dispatch) or when its oldest entry has waited coalesceWaitMs
+ * (partial dispatch by the collector thread) — so lane fill rides
+ * offered load and latency never stalls past the window.  A dispatched
+ * lane set splits into one near-equal contiguous sub-batch per idle
+ * worker (at least one; a set that finds every worker busy runs
+ * whole), each one sim::runBatchedGroup run on its own worker.
+ * Per-lane failures resolve only their own request; dedup joiners
+ * attach to the parked entry like any in-flight job.  Lane results
+ * land under each spec's own result-cache id (batched identity —
+ * batch=N is part of the id) and honor the DESIGN.md §10 tolerance
+ * contract; a lane's bytes do not depend on its lane set, so a
+ * coalesced answer is byte-identical to the same spec run directly in
+ * any batch of its shape (locked by tests).
  *
  * Hot cache (ServiceConfig::hotCacheBytes > 0): a sharded in-memory
  * byte-capped LRU (store::HotResultCache) in front of the on-disk
@@ -120,9 +123,10 @@ struct ServiceConfig
 
     /**
      * Test hook: when set, every scheduled run calls this on its
-     * worker thread before simulating (once per dispatched batch on
-     * the coalesced path).  Lets tests hold jobs open to pin down
-     * dedup-in-flight and coalesce windows deterministically.
+     * worker thread before simulating (once per engine run on the
+     * coalesced path, i.e. once per sub-batch of a split lane set).
+     * Lets tests hold jobs open to pin down dedup-in-flight and
+     * coalesce windows deterministically.
      */
     std::function<void()> onJobStart;
 
@@ -325,7 +329,10 @@ class ExperimentService
     void runJob(const sim::ExperimentSpec &spec, const JobPtr &job);
     void parkJob(const sim::ExperimentSpec &spec, const JobPtr &job);
     void dispatchBatch(const ParkedBatchPtr &batch, bool full);
-    void runBatch(const ParkedBatchPtr &batch);
+    /** One engine run over lanes [begin, end) of @p batch at lane
+        width @p width. */
+    void runBatch(const ParkedBatch &batch, size_t begin, size_t end,
+                  int width);
     void collectorLoop();
     std::vector<obs::StatsRegistry::Entry> mergedSnapshot() const;
 

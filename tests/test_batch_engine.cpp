@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -19,6 +20,7 @@
 #include "sim/batch_engine.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
+#include "sim/spec_io.hpp"
 
 using namespace coolair;
 using namespace coolair::sim;
@@ -190,6 +192,80 @@ TEST(BatchedEngine, RaggedBatchMatchesOracle)
         expectSummaryClose(lanes[i].result.system, oracle.system,
                            "ragged " + specs[i].location.name);
     }
+}
+
+namespace {
+
+/**
+ * Lane-set independence (DESIGN.md §10): a lane's result bytes do not
+ * depend on how many lanes share its engine.  A 16-spec wave of one
+ * shape, run as one 16-lane batch, must be reproduced byte for byte
+ * when the same wave runs as consecutive chunks of every width 1-15 —
+ * the property the serve scheduler relies on when it splits a
+ * coalesced lane set across its workers (DESIGN.md §12).
+ */
+void
+expectLaneBytesIndependentOfLaneSet(SystemId system, double physicsStepS)
+{
+    constexpr int kWave = 16;
+    const std::vector<environment::NamedSite> &sites =
+        environment::allNamedSites();
+    std::vector<ExperimentSpec> wave;
+    for (int i = 0; i < kWave; ++i) {
+        ExperimentSpec spec;
+        spec.location =
+            environment::namedLocation(sites[size_t(i) % sites.size()]);
+        spec.system = system;
+        spec.workload = WorkloadKind::FacebookProfile;
+        spec.runKind = RunKind::DayRange;
+        spec.startDay = 150;
+        spec.endDay = 152;
+        spec.physicsStepS = physicsStepS;
+        spec.batch = kWave;
+        spec.seed = ExperimentRunner::deriveSeed(23, size_t(i),
+                                                 spec.location.name);
+        wave.push_back(spec);
+    }
+
+    auto laneTexts = [](const std::vector<ExperimentSpec> &specs) {
+        std::vector<std::string> texts;
+        for (LaneResult &lane :
+             runBatchedGroup(specs, int(specs.size()))) {
+            EXPECT_TRUE(lane.ok) << lane.error;
+            texts.push_back(formatResult(lane.result));
+        }
+        return texts;
+    };
+
+    const std::vector<std::string> whole = laneTexts(wave);
+    ASSERT_EQ(whole.size(), size_t(kWave));
+    for (int width = 1; width < kWave; ++width) {
+        std::string changed;
+        for (int begin = 0; begin < kWave; begin += width) {
+            const int end = std::min(begin + width, kWave);
+            const std::vector<std::string> texts =
+                laneTexts({wave.begin() + begin, wave.begin() + end});
+            ASSERT_EQ(texts.size(), size_t(end - begin));
+            for (int i = begin; i < end; ++i)
+                if (texts[size_t(i - begin)] != whole[size_t(i)])
+                    changed += " " + std::to_string(i);
+        }
+        EXPECT_TRUE(changed.empty())
+            << "chunks of " << width << " changed the bytes of lanes"
+            << changed;
+    }
+}
+
+} // anonymous namespace
+
+TEST(LaneSet, AllNdProfileAt120sKeepsLaneBytes)
+{
+    expectLaneBytesIndependentOfLaneSet(SystemId::AllNd, 120.0);
+}
+
+TEST(LaneSet, BaselineAt15sKeepsLaneBytes)
+{
+    expectLaneBytesIndependentOfLaneSet(SystemId::Baseline, 15.0);
 }
 
 /** batch=1 through the public runExperiment entry point routes through

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/stats.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -302,6 +305,89 @@ directBatchedTexts(const std::vector<std::string> &lines, int width)
     return texts;
 }
 
+/** Sixteen same-shape batch=16 lines, distinct seeds. */
+std::vector<std::string>
+waveLines()
+{
+    std::vector<std::string> lines;
+    for (uint64_t seed = 31; seed < 47; ++seed)
+        lines.push_back(batchSpecLine(16, seed));
+    return lines;
+}
+
+/** Global obs stats on for one scope, so engine counters such as
+    batch.ragged_tail_lanes land in obs::registry(). */
+struct ObsStatsOn
+{
+    ObsStatsOn()
+    {
+        obs::registry().clear();
+        obs::setEnabled(true);
+    }
+    ~ObsStatsOn()
+    {
+        obs::setEnabled(false);
+        obs::registry().clear();
+    }
+};
+
+/** What one coalescing service did with a lane set. */
+struct SplitOutcome
+{
+    std::vector<std::string> payloads;  ///< submission order.
+    int engineRuns = 0;                 ///< onJobStart calls.
+    obs::Histogram::Snapshot laneFill;  ///< serve.lane_fill.
+    int64_t fullDispatches = 0;
+    int64_t partialDispatches = 0;
+    int64_t raggedTailLanes = 0;        ///< batch.ragged_tail_lanes.
+};
+
+/** Submit @p lines to a fresh coalescing service of @p threads workers
+    and wait for every answer. */
+SplitOutcome
+runCoalesced(const std::vector<std::string> &lines, int threads,
+             int lanes, double waitMs)
+{
+    ObsStatsOn obsOn;
+    std::atomic<int> runs{0};
+    ServiceConfig config;
+    config.threads = threads;
+    config.coalesceLanes = lanes;
+    config.coalesceWaitMs = waitMs;
+    config.onJobStart = [&runs] { runs.fetch_add(1); };
+
+    SplitOutcome out;
+    {
+        ExperimentService service(config);
+        std::vector<uint64_t> tickets;
+        for (const std::string &line : lines) {
+            ExperimentService::Submitted sub =
+                service.submit(specTextFromArg(line));
+            EXPECT_TRUE(sub.ok) << sub.error;
+            tickets.push_back(sub.ticket);
+        }
+        for (uint64_t ticket : tickets) {
+            ExperimentService::Reply reply = service.wait(ticket);
+            EXPECT_TRUE(reply.ok) << reply.error;
+            out.payloads.push_back(reply.payload);
+        }
+        out.laneFill =
+            service.stats().histogram("serve.lane_fill").snapshot();
+        out.fullDispatches =
+            service.stats()
+                .counter("serve.coalesce_full_dispatches")
+                .value();
+        out.partialDispatches =
+            service.stats()
+                .counter("serve.coalesce_partial_dispatches")
+                .value();
+    }
+    out.engineRuns = runs.load();
+    out.raggedTailLanes =
+        obs::registry().counter("batch.ragged_tail_lanes").value();
+    return out;
+}
+
 } // anonymous namespace
 
 TEST(Coalesce, FullLaneSetMatchesDirectBatchedRunByteForByte)
@@ -374,6 +460,147 @@ TEST(Coalesce, PartialLaneSetDispatchesAfterTheWindow)
                   .counter("serve.coalesce_partial_dispatches", "")
                   .value(),
               1);
+}
+
+/**
+ * A full lane set splits across the worker pool: with 4 workers the 16
+ * parked submissions run as four 4-lane engine runs (one full
+ * dispatch), each answer byte-identical to the direct 16-lane run, and
+ * no sub-batch counts as a ragged tail.  One worker keeps one 16-lane
+ * run.
+ */
+TEST(Coalesce, FullLaneSetSplitsAcrossWorkers)
+{
+    const std::vector<std::string> lines = waveLines();
+    const std::vector<std::string> direct = directBatchedTexts(lines, 16);
+
+    for (int threads : {4, 1}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const SplitOutcome out =
+            runCoalesced(lines, threads, 16, /*waitMs=*/60000);
+        EXPECT_EQ(out.payloads, direct);
+
+        const double width = 16.0 / double(threads);
+        EXPECT_EQ(out.engineRuns, threads);
+        EXPECT_EQ(out.laneFill.count, threads);
+        EXPECT_EQ(out.laneFill.min, width);
+        EXPECT_EQ(out.laneFill.max, width);
+        EXPECT_EQ(out.fullDispatches, 1);
+        EXPECT_EQ(out.partialDispatches, 0);
+        EXPECT_EQ(out.raggedTailLanes, 0);
+    }
+}
+
+/**
+ * A window-expired lane set splits too: 6 of 16 lanes on 4 workers run
+ * as 2+2+1+1, still one partial dispatch, with the same bytes as the
+ * direct 16-lane run.  Its lanes still count as ragged.
+ */
+TEST(Coalesce, WindowExpiredLaneSetAlsoSplits)
+{
+    const std::vector<std::string> lines = waveLines();
+    const std::vector<std::string> direct = directBatchedTexts(lines, 16);
+
+    // The window only has to outlast six submissions.
+    const std::vector<std::string> parked(lines.begin(), lines.begin() + 6);
+    const SplitOutcome out =
+        runCoalesced(parked, /*threads=*/4, 16, /*waitMs=*/200.0);
+    EXPECT_EQ(out.payloads,
+              std::vector<std::string>(direct.begin(), direct.begin() + 6));
+
+    EXPECT_EQ(out.engineRuns, 4);
+    EXPECT_EQ(out.laneFill.count, 4);
+    EXPECT_EQ(out.laneFill.min, 1.0);
+    EXPECT_EQ(out.laneFill.max, 2.0);
+    EXPECT_EQ(out.fullDispatches, 0);
+    EXPECT_EQ(out.partialDispatches, 1);
+    EXPECT_EQ(out.raggedTailLanes, 6);
+}
+
+/**
+ * The split only uses idle workers: with solo runs holding 2 of 4
+ * workers a 16-lane set runs as two 8-lane runs, and with all 4 held it
+ * runs whole, since smaller runs would only queue behind the busy ones.
+ * The bytes are the direct 16-lane bytes either way.
+ */
+TEST(Coalesce, BusyWorkersAreNotSplitOnto)
+{
+    const std::vector<std::string> lines = waveLines();
+    const std::vector<std::string> direct = directBatchedTexts(lines, 16);
+
+    for (int busy : {2, 4}) {
+        SCOPED_TRACE("busy=" + std::to_string(busy));
+        std::mutex m;
+        std::condition_variable cv;
+        int started = 0;
+        bool release = false;
+
+        ServiceConfig config;
+        config.threads = 4;
+        config.coalesceLanes = 16;
+        config.coalesceWaitMs = 60000;  // only a full lane set dispatches
+        config.onJobStart = [&] {
+            std::unique_lock<std::mutex> lock(m);
+            ++started;
+            cv.notify_all();
+            cv.wait(lock, [&] { return release; });
+        };
+        ExperimentService service(config);
+
+        // Distinct solo specs (no batch=), each holding one worker.
+        std::vector<uint64_t> held;
+        for (int i = 0; i < busy; ++i) {
+            ExperimentService::Submitted sub =
+                service.submit(specTextFromArg(
+                    "run=day; day=" + std::to_string(20 + i) +
+                    "; site=newark; system=baseline; workload=profile; "
+                    "physics_step=120"));
+            ASSERT_TRUE(sub.ok) << sub.error;
+            held.push_back(sub.ticket);
+        }
+        {
+            std::unique_lock<std::mutex> lock(m);
+            cv.wait(lock, [&] { return started == busy; });
+        }
+
+        std::vector<uint64_t> tickets;
+        for (const std::string &line : lines) {
+            ExperimentService::Submitted sub =
+                service.submit(specTextFromArg(line));
+            ASSERT_TRUE(sub.ok) << sub.error;
+            tickets.push_back(sub.ticket);
+        }
+        {
+            std::lock_guard<std::mutex> lock(m);
+            release = true;
+        }
+        cv.notify_all();
+
+        for (uint64_t ticket : held)
+            EXPECT_TRUE(service.wait(ticket).ok);
+        std::vector<std::string> payloads;
+        for (uint64_t ticket : tickets) {
+            ExperimentService::Reply reply = service.wait(ticket);
+            EXPECT_TRUE(reply.ok) << reply.error;
+            payloads.push_back(reply.payload);
+        }
+        EXPECT_EQ(payloads, direct);
+
+        const int runs = std::max(1, 4 - busy);
+        const obs::Histogram::Snapshot fill =
+            service.stats().histogram("serve.lane_fill").snapshot();
+        {
+            std::lock_guard<std::mutex> lock(m);
+            EXPECT_EQ(started - busy, runs);  // batched engine runs
+        }
+        EXPECT_EQ(fill.count, runs);
+        EXPECT_EQ(fill.min, 16.0 / runs);
+        EXPECT_EQ(fill.max, 16.0 / runs);
+        EXPECT_EQ(service.stats()
+                      .counter("serve.coalesce_full_dispatches")
+                      .value(),
+                  1);
+    }
 }
 
 TEST(Coalesce, LaneFailureResolvesOnlyItsOwnRequest)
