@@ -11,24 +11,19 @@ namespace physics {
 double
 saturationVaporPressure(double temp_c)
 {
-    return kMagnusC * std::exp(kMagnusA * temp_c / (kMagnusB + temp_c));
+    return magnusSvp(temp_c);
 }
 
 double
 absoluteHumidity(double temp_c, double rh_percent)
 {
-    double vp = saturationVaporPressure(temp_c) * rh_percent / 100.0;
-    double kelvin = temp_c + 273.15;
-    // Ideal gas: rho_v = p_v / (R_v * T); convert kg/m^3 -> g/m^3.
-    return 1000.0 * vp / (kVaporGasConstant * kelvin);
+    return absoluteHumidityAt(temp_c, rh_percent, magnusSvp(temp_c));
 }
 
 double
 relativeHumidity(double temp_c, double abs_gm3)
 {
-    double kelvin = temp_c + 273.15;
-    double vp = abs_gm3 / 1000.0 * kVaporGasConstant * kelvin;
-    return 100.0 * vp / saturationVaporPressure(temp_c);
+    return relativeHumidityAt(temp_c, abs_gm3, magnusSvp(temp_c));
 }
 
 double

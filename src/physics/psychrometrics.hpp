@@ -12,6 +12,8 @@
  * the datacenter operating envelope (-40..60 °C).
  */
 
+#include <cmath>
+
 namespace coolair {
 namespace physics {
 
@@ -21,15 +23,46 @@ constexpr double kAirDensity = 1.2;
 /** Specific heat capacity of air [J/(kg*K)]. */
 constexpr double kAirSpecificHeat = 1005.0;
 
-// Magnus-Tetens coefficients (Alduchov & Eskridge 1996).  Shared by the
-// scalar implementations below and the flat-array kernel TU
-// (psychrometrics_kernels.cpp), which must agree on the formulas.
+// Magnus-Tetens coefficients (Alduchov & Eskridge 1996).
 inline constexpr double kMagnusA = 17.625;
 inline constexpr double kMagnusB = 243.04;   // [°C]
 inline constexpr double kMagnusC = 610.94;   // [Pa]
 
 /** Specific gas constant for water vapor [J/(kg*K)]. */
 inline constexpr double kVaporGasConstant = 461.5;
+
+// The Magnus-Tetens relations, written once.  The scalar functions
+// below and the lane-wise kernels (psychrometrics_kernels.cpp, the
+// batched plant) all evaluate these.  They are static so that every
+// translation unit compiles its own copy with its own flags: the
+// fast-math kernel TUs must not hand their code to the strict ones
+// through a shared inline symbol (DESIGN.md §10).
+
+/** Saturation vapor pressure [Pa] at @p temp_c [°C]. */
+static inline double
+magnusSvp(double temp_c)
+{
+    return kMagnusC * std::exp(kMagnusA * temp_c / (kMagnusB + temp_c));
+}
+
+/** absoluteHumidity() given the saturation pressure @p svp at @p temp_c. */
+static inline double
+absoluteHumidityAt(double temp_c, double rh_percent, double svp)
+{
+    double vp = svp * rh_percent / 100.0;
+    double kelvin = temp_c + 273.15;
+    // Ideal gas: rho_v = p_v / (R_v * T); convert kg/m^3 -> g/m^3.
+    return 1000.0 * vp / (kVaporGasConstant * kelvin);
+}
+
+/** relativeHumidity() given the saturation pressure @p svp at @p temp_c. */
+static inline double
+relativeHumidityAt(double temp_c, double abs_gm3, double svp)
+{
+    double kelvin = temp_c + 273.15;
+    double vp = abs_gm3 / 1000.0 * kVaporGasConstant * kelvin;
+    return 100.0 * vp / svp;
+}
 
 /**
  * Saturation vapor pressure of water over liquid [Pa] at temperature
@@ -101,30 +134,22 @@ AirState mix(const AirState &a, const AirState &b, double frac_a);
 double heatAirMass(double temp_c, double volume_m3, double heat_joules);
 
 /**
- * Flat-array overloads of the hot transforms, for the batched (SoA)
- * execution path.  Each applies the scalar formula element-wise over
- * @p n lanes with no per-lane branching, from a translation unit built
- * with the vectorizer-friendly COOLAIR_KERNEL_OPTIONS flags
- * (-ffast-math on the kernel TU only), so results may differ from the
- * scalar functions in the last few ulps — see DESIGN.md §10 for the
- * tolerance contract.  Input and output arrays may not alias unless
- * they are identical (in-place use is allowed).
+ * Lane-wise forms of the hot transforms, for the batched (SoA)
+ * execution path: the relations above element-wise over @p n lanes,
+ * from a translation unit built with the vectorizer-friendly
+ * COOLAIR_KERNEL_OPTIONS flags (-ffast-math on the kernel TU only), so
+ * results may differ from the scalar functions in the last few ulps —
+ * see DESIGN.md §10 for the tolerance contract.  Input and output
+ * arrays may not alias unless they are identical (in-place use is
+ * allowed).
  */
 
 /** Lane-wise saturationVaporPressure: out[i] = svp(temp_c[i]). */
 void saturationVaporPressureN(const double *temp_c, double *out, int n);
 
-/** Lane-wise absoluteHumidity: out[i] = absHum(temp_c[i], rh[i]). */
-void absoluteHumidityN(const double *temp_c, const double *rh_percent,
-                       double *out, int n);
-
 /** Lane-wise relativeHumidity: out[i] = relHum(temp_c[i], abs[i]). */
 void relativeHumidityN(const double *temp_c, const double *abs_gm3,
                        double *out, int n);
-
-/** Lane-wise wetBulb (Stull fit, RH clamped to [5, 99] as in scalar). */
-void wetBulbN(const double *temp_c, const double *rh_percent, double *out,
-              int n);
 
 } // namespace physics
 } // namespace coolair

@@ -7,17 +7,11 @@
  * auto-vectorize the transcendental calls through libmvec.  Fast-math is
  * scoped to this TU's COMPILE_OPTIONS — never to link flags — so the
  * scalar path keeps strict IEEE semantics and its bit-identity contract.
- *
- * Every loop body is a straight transliteration of the scalar function
- * in psychrometrics.cpp; any change there must be mirrored here (the
- * batched-vs-scalar oracle tests in tests/test_batch_engine.cpp catch
- * drift beyond the documented tolerance).
+ * The loop bodies are the Magnus-Tetens relations of psychrometrics.hpp,
+ * which this TU compiles into its own static copies.
  */
 
 #include "physics/psychrometrics.hpp"
-
-#include <algorithm>
-#include <cmath>
 
 namespace coolair {
 namespace physics {
@@ -26,51 +20,16 @@ void
 saturationVaporPressureN(const double *temp_c, double *out, int n)
 {
     for (int i = 0; i < n; ++i)
-        out[i] = kMagnusC *
-                 std::exp(kMagnusA * temp_c[i] / (kMagnusB + temp_c[i]));
-}
-
-void
-absoluteHumidityN(const double *temp_c, const double *rh_percent,
-                  double *out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        double svp = kMagnusC *
-                     std::exp(kMagnusA * temp_c[i] / (kMagnusB + temp_c[i]));
-        double vp = svp * rh_percent[i] / 100.0;
-        double kelvin = temp_c[i] + 273.15;
-        out[i] = 1000.0 * vp / (kVaporGasConstant * kelvin);
-    }
+        out[i] = magnusSvp(temp_c[i]);
 }
 
 void
 relativeHumidityN(const double *temp_c, const double *abs_gm3, double *out,
                   int n)
 {
-    for (int i = 0; i < n; ++i) {
-        double svp = kMagnusC *
-                     std::exp(kMagnusA * temp_c[i] / (kMagnusB + temp_c[i]));
-        double kelvin = temp_c[i] + 273.15;
-        double vp = abs_gm3[i] / 1000.0 * kVaporGasConstant * kelvin;
-        out[i] = 100.0 * vp / svp;
-    }
-}
-
-void
-wetBulbN(const double *temp_c, const double *rh_percent, double *out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        double t = temp_c[i];
-        double rh = std::min(std::max(rh_percent[i], 5.0), 99.0);
-        // Stull (2011); pow(rh, 1.5) spelled rh*sqrt(rh) so the loop
-        // vectorizes without a pow() call.
-        double tw = t * std::atan(0.151977 * std::sqrt(rh + 8.313659)) +
-                    std::atan(t + rh) - std::atan(rh - 1.676331) +
-                    0.00391838 * rh * std::sqrt(rh) *
-                        std::atan(0.023101 * rh) -
-                    4.686035;
-        out[i] = std::min(tw, t);
-    }
+    for (int i = 0; i < n; ++i)
+        out[i] = relativeHumidityAt(temp_c[i], abs_gm3[i],
+                                    magnusSvp(temp_c[i]));
 }
 
 } // namespace physics

@@ -29,9 +29,7 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "cooling/actuators.hpp"
@@ -281,8 +279,90 @@ struct PlantConfig
 };
 
 /**
+ * One-entry exp() memo.  A thermal node's decay exponent is piecewise-
+ * constant in time (it moves only when dt, fan speeds or awake-server
+ * counts change), so remembering the last argument skips the libm call
+ * on almost every steady-state step.  Starts as the exact pair
+ * (0, exp(0)), so it never holds a value exp() would not return.
+ */
+struct ExpMemo
+{
+    double arg = 0.0;
+    double val = 1.0;
+};
+
+/**
+ * The state of L Parasol plants ("lanes") sharing one PlantConfig, in
+ * structure-of-arrays layout: per-pod arrays are pod-major, lane-minor
+ * ([pod * lanes + lane]), per-lane arrays are [lane].  Plant holds one
+ * lane, BatchedPlant many; the equations that step it are written once
+ * in plant/parasol_equations.hpp.  Data only, plus scratch for the
+ * passes of a step.
+ */
+struct PlantLanes
+{
+    /**
+     * One lane per seed; util::fatal on an invalid config or no seeds.
+     * Pass scratch is sized for transcendental passes that run over
+     * whole multiples of @p pass_width doubles.
+     */
+    PlantLanes(const PlantConfig &config, const std::vector<uint64_t> &seeds,
+               int pass_width);
+
+    PlantConfig config;
+    int lanes;
+    int pods;
+
+    // Per-lane components.
+    std::vector<cooling::Actuators> act;
+    std::vector<util::Rng> rng;
+
+    // Box-Muller spare: lanes draw in lockstep, so whether a spare
+    // exists is shared; its value is per lane.
+    bool haveSpare = false;
+    std::vector<double> spare, newSpare;
+
+    util::SimTime now;
+
+    // [pod * lanes + lane]
+    std::vector<double> podTempC, podTempScratchC, podPowerW, podUtil;
+    std::vector<int> podAwake;
+    std::vector<double> diskTempC;
+
+    // [lane]
+    std::vector<double> hotAisleC, massTempC, coldAbsHumidity;
+    std::vector<double> itPowerW, dcUtilization;
+    std::vector<environment::WeatherSample> lastOutside;
+
+    // Constant per config.
+    double acCoilAbsHumidity;  ///< absoluteHumidity(acCoilC, 100 %)
+    double recircWeightSum;    ///< sum of podRecirc
+
+    // Decay-factor memos: mass and disk (constant per dt), and one per
+    // exp call site of the relaxation passes, used by the strict
+    // instance (see parasol_equations.hpp).
+    ExpMemo massExp, diskExp;
+    std::vector<ExpMemo> passExp;
+
+    // Actuator prologue, [lane].
+    std::vector<double> uComp, qFc, qAc, intakeC, intakeAbs;
+    std::vector<unsigned char> evapOn;
+    std::vector<int> awakeCount;
+    std::vector<double> outTempC, outAbsHumidity;
+
+    // Pass scratch.  Transcendental passes may run over whole vectors
+    // past the lanes; that padding starts and stays finite.
+    std::vector<double> expArg, expVal, target, conductance, suppress;
+    std::vector<double> recircTotal, localSup, acSupply, qFcPod, qAcPod;
+    std::vector<double> hotTarget, humTarget, podTempSum, coldAvg, awakeSum;
+    std::vector<double> u1, u2, zCos, zSin, draws, svpCold, svpOut;
+};
+
+/**
  * The ground-truth plant.  Deterministic given its seed; step() advances
- * physics, readSensors() samples noisy observations.
+ * physics, readSensors() samples noisy observations.  The one-lane,
+ * strict-IEEE instance of the Parasol equations: the bit-exact oracle
+ * the batched plant is measured against.
  */
 class Plant
 {
@@ -290,7 +370,7 @@ class Plant
     Plant(const PlantConfig &config, uint64_t seed = 1);
 
     /** The configuration in effect. */
-    const PlantConfig &config() const { return _config; }
+    const PlantConfig &config() const { return _lanes.config; }
 
     /**
      * Advance physics by @p dt_s seconds under the given outside weather
@@ -320,7 +400,7 @@ class Plant
     double diskTempC(int pod) const;
 
     /** Noise-free disk temperatures for all pods at once. */
-    const std::vector<double> &diskTemps() const { return _diskTempC; }
+    const std::vector<double> &diskTemps() const { return _lanes.diskTempC; }
 
     /**
      * Fault injection: freeze pod @p pod's temperature sensor at
@@ -333,19 +413,19 @@ class Plant
     void clearSensorFaults();
 
     /** Hot-aisle temperature. */
-    double hotAisleC() const { return _hotAisleC; }
+    double hotAisleC() const { return _lanes.hotAisleC[0]; }
 
     /** Structural mass temperature. */
-    double massTempC() const { return _massTempC; }
+    double massTempC() const { return _lanes.massTempC[0]; }
 
     /** Current IT power [W]. */
-    double itPowerW() const { return _itPowerW; }
+    double itPowerW() const { return _lanes.itPowerW[0]; }
 
     /** Current cooling power [W]. */
-    double coolingPowerW() const { return _actuators.coolingPowerW(); }
+    double coolingPowerW() const { return _lanes.act[0].coolingPowerW(); }
 
     /** The actuator model (for inspecting actual fan speeds). */
-    const cooling::Actuators &actuators() const { return _actuators; }
+    const cooling::Actuators &actuators() const { return _lanes.act[0]; }
 
     /**
      * Jump the air/mass state to equilibrium-ish values for @p outside
@@ -355,86 +435,7 @@ class Plant
                                double inside_offset_c = 6.0);
 
   private:
-    /**
-     * One-entry exp() memo.  Each thermal node's decay exponent is
-     * piecewise-constant in time (it moves only when fan speeds or
-     * awake-server counts change), so remembering the last argument
-     * skips the libm call on almost every steady-state step.  The same
-     * argument yields the exact same std::exp result, so cached and
-     * uncached stepping are bit-identical.
-     */
-    class ExpMemo
-    {
-      public:
-        double operator()(double x)
-        {
-            if (x != _arg) {
-                _arg = x;
-                _val = std::exp(x);
-            }
-            return _val;
-        }
-
-      private:
-        // NaN compares unequal to everything, so the first call always
-        // computes.
-        double _arg = std::numeric_limits<double>::quiet_NaN();
-        double _val = 1.0;
-    };
-
-    /**
-     * Relax @p value toward @p target with total conductance @p g
-     * [m^3/s] acting on an effective volume @p volume [m^3] over
-     * @p dt_s seconds.  Exact for the frozen-coefficient linear node,
-     * stable for any step.  @p memo caches the node's decay factor.
-     */
-    static double relax(double value, double target, double g,
-                        double volume, double dt_s, ExpMemo &memo)
-    {
-        if (g <= 0.0 || volume <= 0.0)
-            return value;
-        double alpha = memo(-g * dt_s / volume);
-        return target + (value - target) * alpha;
-    }
-
-    double podFlowShare() const;
-    void stepThermal(double dt_s, const environment::WeatherSample &outside,
-                     const PodLoad &load);
-    void stepHumidity(double dt_s,
-                      const environment::WeatherSample &outside);
-    void stepDisks(double dt_s, const PodLoad &load);
-    void updateItPower(const PodLoad &load);
-
-    PlantConfig _config;
-    cooling::Actuators _actuators;
-    util::Rng _sensorRng;
-
-    util::SimTime _now;
-    std::vector<double> _podTempC;
-    std::vector<double> _podTempScratchC;  ///< stepThermal double buffer.
-    std::vector<double> _podPowerW;   ///< IT power dissipated per pod.
-    std::vector<int> _podAwake;       ///< Awake servers per pod.
-    std::vector<double> _diskTempC;
-    double _hotAisleC;
-    double _massTempC;
-    double _coldAbsHumidity;
-    double _itPowerW = 0.0;
-    double _dcUtilization = 1.0;
-    environment::WeatherSample _lastOutside;
-
-    // Decay-factor memos, one per exp() call site in the step path (the
-    // pod relaxations each get their own since their conductances
-    // differ).  See ExpMemo.
-    std::vector<ExpMemo> _podRelaxExp;
-    ExpMemo _suppressExp;
-    ExpMemo _hotRelaxExp;
-    ExpMemo _massExp;
-    ExpMemo _humidityRelaxExp;
-    ExpMemo _diskExp;
-
-    /** absoluteHumidity(acCoilC, 100 %): fixed by config, hot in
-        stepHumidity. */
-    double _acCoilAbsHumidity = 0.0;
+    PlantLanes _lanes;
 
     int _stuckSensorPod = -1;
     double _stuckSensorValueC = 0.0;

@@ -3,34 +3,30 @@
 
 /**
  * @file
- * Lane-batched (structure-of-arrays) variant of the Parasol plant model.
+ * Lane-batched (structure-of-arrays) Parasol plant.
  *
  * A BatchedPlant steps L independent plant instances — "lanes", one per
  * experiment — in lockstep through one instruction stream.  All lanes
- * share one PlantConfig (same shape); per-lane state lives in flat
- * arrays indexed pod-major, lane-minor (`[pod * lanes + lane]`) so the
- * hot pods x lanes loops are contiguous over lanes and vectorize.
+ * share one PlantConfig (same shape); their state is one PlantLanes,
+ * pod-major and lane-minor, so the hot pods x lanes loops are contiguous
+ * over lanes and vectorize.
  *
- * The physics transliterates plant/parasol.cpp equation-for-equation,
- * with two structural differences that the batched path's tolerance
- * contract (DESIGN.md §10) covers:
+ * It is the N-lane instance of the same equations plant::Plant runs at
+ * one lane (plant/parasol_equations.hpp), built with fast-math in
+ * plant/parasol_kernels.cpp.  Two things differ from the strict
+ * instance, and the batched path's tolerance contract (DESIGN.md §10)
+ * covers both:
  *
- *  - the per-node ExpMemo of the scalar plant is replaced by gathered
- *    exp() passes over whole argument arrays (plant/parasol_kernels.cpp,
- *    built with fast-math), so decay factors can differ from std::exp
- *    in the last ulps;
- *  - sensor-noise transcendentals (Box-Muller) are likewise evaluated
- *    by a batched kernel, with the *draw order per lane* identical to
- *    util::Rng::normal so every lane consumes the same uniforms as its
- *    scalar twin.
+ *  - decay factors and sensor-noise transcendentals come from libmvec
+ *    passes over whole arrays instead of per-node memoized std::exp and
+ *    scalar libm, so they can differ in the last ulps, and fast-math may
+ *    reassociate or contract the arithmetic around them;
+ *  - every lane still consumes its noise stream in util::Rng::normal's
+ *    draw order, so it uses the same uniforms as its scalar twin.
  *
- * Every transcendental pass runs over a whole number of vectors
- * (kernels::paddedLength), so each element goes through the same
- * libmvec code at any lane count: a lane's results are byte-identical
- * whichever lanes share its plant.
- *
- * Branches on actuator/evaporative state are confined to the O(lanes)
- * per-lane prologue; the O(pods x lanes) loops are branch-free.
+ * Every transcendental pass runs over a whole number of vectors, so
+ * each element goes through the same libmvec code at any lane count: a
+ * lane's results are byte-identical whichever lanes share its plant.
  */
 
 #include <cstdint>
@@ -40,8 +36,6 @@
 #include "cooling/regime.hpp"
 #include "environment/weather.hpp"
 #include "plant/parasol.hpp"
-#include "util/rng.hpp"
-#include "util/sim_time.hpp"
 
 namespace coolair {
 namespace plant {
@@ -57,10 +51,10 @@ class BatchedPlant
     BatchedPlant(const PlantConfig &config,
                  const std::vector<uint64_t> &seeds);
 
-    int lanes() const { return _lanes; }
-    const PlantConfig &config() const { return _config; }
+    int lanes() const { return _lanes.lanes; }
+    const PlantConfig &config() const { return _lanes.config; }
 
-    /** Scalar Plant::initializeSteadyState for one lane. */
+    /** Plant::initializeSteadyState for one lane. */
     void initializeSteadyState(int lane,
                                const environment::WeatherSample &outside,
                                double inside_offset_c = 6.0);
@@ -93,84 +87,18 @@ class BatchedPlant
     /** Noise-free pod inlet temperature (oracle tests). */
     double truePodInletC(int lane, int pod) const
     {
-        return _podTempC[size_t(pod) * size_t(_lanes) + size_t(lane)];
+        return _lanes.podTempC[size_t(pod) * size_t(_lanes.lanes) +
+                               size_t(lane)];
     }
 
     /** The actuator model of one lane. */
     const cooling::Actuators &actuators(int lane) const
     {
-        return _act[size_t(lane)];
+        return _lanes.act[size_t(lane)];
     }
 
   private:
-    /** Heavy lockstep physics; defined in parasol_kernels.cpp. */
-    void stepPhysics(double dt_s,
-                     const environment::WeatherSample *outside,
-                     const PodLoad *loads);
-
-    /** Per-lane IT power/awake bookkeeping (scalar updateItPower).
-        Lanes with a zero @p loads_dirty entry keep their cached power
-        state (null = recompute every lane). */
-    void updateItPower(const PodLoad *loads,
-                       const unsigned char *loads_dirty);
-
-    PlantConfig _config;
-    int _lanes;
-    int _pods;
-
-    // Per-lane scalar components.
-    std::vector<cooling::Actuators> _act;
-    std::vector<util::Rng> _rng;
-
-    // Box-Muller spare bookkeeping: lanes run in lockstep, so whether a
-    // spare exists is shared; its value is per-lane.
-    bool _haveSpare = false;
-    std::vector<double> _spare;
-
-    util::SimTime _now;
-
-    // SoA state, [pod * lanes + lane].
-    std::vector<double> _podTempC;
-    std::vector<double> _podTempScratchC;
-    std::vector<double> _podPowerW;
-    std::vector<int> _podAwake;
-    std::vector<double> _podUtil;
-    std::vector<double> _diskTempC;
-
-    // Per-lane state, [lane].
-    std::vector<double> _hotAisleC;
-    std::vector<double> _massTempC;
-    std::vector<double> _coldAbsHumidity;
-    std::vector<double> _itPowerW;
-    std::vector<double> _dcUtilization;
-    std::vector<environment::WeatherSample> _lastOutside;
-
-    double _acCoilAbsHumidity = 0.0;
-
-    // dt-constant decay factors (scalar ExpMemo equivalents), refreshed
-    // with strict std::exp when dt changes.
-    double _cachedDtS = -1.0;
-    double _diskAlpha = 1.0;
-    double _massAlpha = 1.0;
-
-    // Per-lane prologue scratch (gathered actuator state and derived
-    // flows), filled by step() before stepPhysics().
-    std::vector<double> _uFcFan, _uAcFan, _uComp;
-    std::vector<double> _uDamper;          // 0/1
-    std::vector<unsigned char> _evapOn;    // 0/1, cached with the gather
-    std::vector<double> _qFc, _qAc;
-    std::vector<double> _intakeC, _intakeAbs;
-
-    // Kernel scratch.
-    std::vector<double> _expArg, _expVal;
-    std::vector<double> _target;
-    std::vector<double> _suppress;
-    std::vector<double> _recircTotal, _localSup, _acSupply;
-    std::vector<double> _hotTarget, _humTarget;
-    std::vector<double> _podTempSum, _coldAvg, _awakeSum;
-    std::vector<double> _outTempC, _outAbsHumidity;
-    std::vector<double> _u1, _u2, _zCos, _zSin, _draws, _newSpare;
-    std::vector<double> _svpA, _svpB, _tmpA;
+    PlantLanes _lanes;
 };
 
 } // namespace plant
