@@ -8,7 +8,6 @@
 #include "obs/report.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "sim/engine.hpp"
 #include "sim/scenario.hpp"
 #include "sim/spec_io.hpp"
 #include "util/logging.hpp"
@@ -21,6 +20,28 @@ namespace {
 /** Weather-grid chunk cap: bounds lane grid memory on long day ranges
     (a full day at the finest 30 s step is 2880 points). */
 constexpr int kMaxGridChunk = 4096;
+
+/** The shared engine configuration of a batch, after the checks every
+    BatchedEngine makes before building anything. */
+EngineConfig
+batchConfig(const std::vector<ExperimentSpec> &specs)
+{
+    if (specs.empty())
+        throw std::invalid_argument(
+            "BatchedEngine: batch must contain at least one spec");
+    const std::string shape = batchShapeKey(specs.front());
+    for (const ExperimentSpec &spec : specs) {
+        if (spec.batch <= 0)
+            throw std::invalid_argument(
+                "BatchedEngine: every lane spec must have batch > 0");
+        if (batchShapeKey(spec) != shape)
+            throw std::invalid_argument(
+                "BatchedEngine: lane specs differ in shape (only "
+                "location, seed and output paths may vary in a batch)");
+    }
+    checkRunnable(specs.front());
+    return engineConfigFor(specs.front());
+}
 
 } // namespace
 
@@ -39,52 +60,22 @@ batchShapeKey(const ExperimentSpec &spec)
 
 BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
                              int requested_width)
+    : Timeline(batchConfig(specs), int(specs.size()),
+               /*isolate_lane_errors=*/true)
 {
-    if (specs.empty())
-        throw std::invalid_argument(
-            "BatchedEngine: batch must contain at least one spec");
-    const std::string shape = batchShapeKey(specs.front());
-    for (const ExperimentSpec &spec : specs) {
-        if (spec.batch <= 0)
-            throw std::invalid_argument(
-                "BatchedEngine: every lane spec must have batch > 0");
-        if (batchShapeKey(spec) != shape)
-            throw std::invalid_argument(
-                "BatchedEngine: lane specs differ in shape (only "
-                "location, seed and output paths may vary in a batch)");
-    }
-
-    // ScenarioBuilder's runnability validation, on the shared shape.
-    const ExperimentSpec &proto = specs.front();
-    if (proto.physicsStepS <= 0.0)
-        throw std::invalid_argument(
-            "ExperimentSpec: physics step must be positive");
-    if (proto.runKind == RunKind::YearWeekly && proto.weeks <= 0)
-        throw std::invalid_argument("ExperimentSpec: weeks must be positive");
-    if (proto.runKind == RunKind::DayRange && proto.endDay <= proto.startDay)
-        throw std::invalid_argument(
-            "ExperimentSpec: day range must be non-empty");
-
-    _physicsStepS = proto.physicsStepS;
-    _stepS = int64_t(_physicsStepS);
-    _intervalS = std::max<int64_t>(60, int64_t(_physicsStepS));
-    _warmupS = EngineConfig{}.warmupS;
-    if (_stepS <= 0 || _intervalS % _stepS != 0)
-        util::fatal("Engine: sample interval must be a multiple of the "
-                    "physics step");
-
-    _plantConfig = plantConfigFor(proto);
+    const plant::PlantConfig pc = plantConfigFor(specs.front());
     std::vector<uint64_t> seeds;
     seeds.reserve(specs.size());
     for (const ExperimentSpec &spec : specs)
         seeds.push_back(spec.seed);
-    _plant = std::make_unique<plant::BatchedPlant>(_plantConfig, seeds);
+    _plant = std::make_unique<plant::BatchedPlant>(pc, seeds);
 
-    _lanes.reserve(specs.size());
-    for (ExperimentSpec &spec : specs) {
-        LaneState lane;
-        lane.spec = std::move(spec);
-        const ExperimentSpec &ls = lane.spec;
+    _parts.resize(specs.size());
+    for (size_t l = 0; l < specs.size(); ++l) {
+        LaneParts &parts = _parts[l];
+        Lane &lane = _lanes[l];
+        parts.spec = std::move(specs[l]);
+        const ExperimentSpec &ls = parts.spec;
         try {
             // Trace output needs the scalar engine's per-step sink; its
             // absence here is the documented fault-injection lever.
@@ -92,249 +83,109 @@ BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
                 throw std::invalid_argument(
                     "BatchedEngine: trace output is not supported on the "
                     "batched path (run with batch = 0)");
-            lane.climate = std::make_unique<environment::Climate>(
+            parts.climate = std::make_unique<environment::Climate>(
                 ls.location.makeClimate(ls.seed));
             // The raw climate serves the forecaster: its samples are
             // bit-identical to the scalar path's cached provider.
-            lane.forecaster = std::make_unique<environment::Forecaster>(
-                *lane.climate, ls.forecastError, ls.seed);
-            lane.workload = makeWorkload(ls);
-            lane.controller = makeController(ls, lane.forecaster.get());
+            parts.forecaster = std::make_unique<environment::Forecaster>(
+                *parts.climate, ls.forecastError, ls.seed);
+            parts.workload = makeWorkload(ls);
+            parts.controller = makeController(ls, parts.forecaster.get());
             // CoolAir lanes score each epoch's candidate menu in one
             // batched pass (ulp-level score drift only; DESIGN.md §10).
             if (auto *ca =
-                    dynamic_cast<CoolAirController *>(lane.controller.get()))
+                    dynamic_cast<CoolAirController *>(parts.controller.get()))
                 ca->setBatchedCandidates(true);
             MetricsConfig mc;
             mc.maxTempC = ls.maxTempC;
-            lane.metrics = std::make_unique<MetricsCollector>(
-                mc, _plantConfig.numPods);
+            parts.metrics =
+                std::make_unique<MetricsCollector>(mc, pc.numPods);
+            lane.workload = parts.workload.get();
+            lane.controller = parts.controller.get();
+            lane.metrics = parts.metrics.get();
         } catch (const std::exception &e) {
             lane.dead = true;
             lane.error = e.what();
         }
-        _lanes.push_back(std::move(lane));
     }
 
-    const size_t n = _lanes.size();
-    _outside.resize(n);
     // Dead lanes never refresh their load; seed every slot with a valid
     // arity so the plant's lockstep step always sees numPods pods.
-    _loads.assign(n, plant::PodLoad::uniform(_plantConfig.numPods,
-                                             _plantConfig.serversPerPod,
-                                             0.5));
-    _commands.assign(n, cooling::Regime::closed());
-    _sensors.resize(n);
-    // First plant step must consume every seeded load/command.
-    _loadsDirty.assign(n, 1);
-    _cmdsDirty.assign(n, 1);
+    _loads.assign(_parts.size(),
+                  plant::PodLoad::uniform(pc.numPods, pc.serversPerPod, 0.5));
 
-    if (requested_width > 0 && int(n) < requested_width)
-        _stats.raggedTailLanes = int64_t(n);
-}
-
-void
-BatchedEngine::failLane(int lane, const char *what)
-{
-    LaneState &ln = _lanes[size_t(lane)];
-    ln.dead = true;
-    ln.error = what;
+    if (requested_width > 0 && lanes() < requested_width)
+        _stats.raggedTailLanes = int64_t(lanes());
 }
 
 void
 BatchedEngine::refreshGrids(int64_t from_s, int64_t end_s)
 {
-    const int64_t remaining = (end_s - from_s + _stepS - 1) / _stepS;
+    const int64_t step = int64_t(_config.physicsStepS);
+    const int64_t remaining = (end_s - from_s + step - 1) / step;
     const int n = int(std::min<int64_t>(remaining, kMaxGridChunk));
     _gridStartS = from_s;
     _gridPoints = n;
-    for (LaneState &lane : _lanes) {
-        if (lane.climate) {
-            lane.climate->sampleGridInto(util::SimTime(from_s), _stepS, n,
-                                         lane.grid);
+    _gridIndex = 0;
+    for (LaneParts &parts : _parts) {
+        if (parts.climate) {
+            parts.climate->sampleGridInto(util::SimTime(from_s), step, n,
+                                          parts.grid);
         } else {
             // Construction-dead lane: any finite weather keeps its plant
             // lane stepping harmlessly alongside the batch.
             const size_t nz = size_t(n);
-            lane.grid.startTime = util::SimTime(from_s);
-            lane.grid.stepS = _stepS;
-            lane.grid.tempC.assign(nz, 20.0);
-            lane.grid.rhPercent.assign(nz, 50.0);
-            lane.grid.absHumidity.assign(nz, 8.0);
+            parts.grid.startTime = util::SimTime(from_s);
+            parts.grid.stepS = step;
+            parts.grid.tempC.assign(nz, 20.0);
+            parts.grid.rhPercent.assign(nz, 50.0);
+            parts.grid.absHumidity.assign(nz, 8.0);
         }
     }
 }
 
 void
-BatchedEngine::sampleAll(util::SimTime now, bool collect)
+BatchedEngine::beginRange(int64_t start_s, int64_t end_s)
 {
-    _plant->readSensors(_sensors.data());
-    const int n = lanes();
-    for (int l = 0; l < n; ++l) {
-        LaneState &lane = _lanes[size_t(l)];
-        if (lane.dead)
-            continue;
-        try {
-            plant::SensorReadings &sensors = _sensors[size_t(l)];
-            sensors.time = now;
-
-            if (now.seconds() >= lane.nextControlS) {
-                workload::WorkloadStatus status = lane.workload->status();
-                const uint64_t v = lane.workload->loadVersion();
-                if (v == 0 || v != lane.loadVersion) {
-                    lane.workload->podLoadInto(_loads[size_t(l)]);
-                    lane.loadVersion = v;
-                    _loadsDirty[size_t(l)] = 1;
-                }
-                ControlDecision decision = lane.controller->control(
-                    sensors, status, _loads[size_t(l)], now);
-                ++lane.controlEpochs;
-                if (!(decision.regime == _commands[size_t(l)])) {
-                    ++lane.regimeTransitions;
-                    _commands[size_t(l)] = decision.regime;
-                    _cmdsDirty[size_t(l)] = 1;
-                }
-                // An unchanged decision leaves the command (and the
-                // actuator, via the clean mask) untouched: setCommand
-                // with an equal regime is a no-op by construction.
-                if (decision.hasPlan)
-                    lane.workload->applyPlan(decision.plan);
-                lane.nextControlS =
-                    now.seconds() + lane.controller->epochS();
-            }
-
-            if (!collect)
-                continue;
-
-            ++lane.samples;
-            if (sensors.cooling.mode == cooling::Mode::AirConditioning)
-                ++lane.acSamples;
-
-            lane.metrics->record(now, sensors, double(_intervalS),
-                                 _outside[size_t(l)].tempC);
-        } catch (const std::exception &e) {
-            failLane(l, e.what());
-        }
-    }
-}
-
-void
-BatchedEngine::runRange(int64_t start_s, int64_t end_s, bool collect)
-{
-    if (end_s <= start_s)
-        return;
-
-    const int64_t step = _stepS;
-    const int n = lanes();
+    _rangeEndS = end_s;
     refreshGrids(start_s, end_s);
-    size_t gi = 0;
-
-    for (int64_t t = start_s; t < end_s; t += step) {
-        if (int(gi) == _gridPoints) {
-            refreshGrids(t, end_s);
-            gi = 0;
-        }
-        util::SimTime now(t);
-        for (int l = 0; l < n; ++l)
-            _outside[size_t(l)] = _lanes[size_t(l)].grid.at(gi);
-        for (LaneState &lane : _lanes)
-            if (!lane.dead)
-                ++lane.steps;
-        _stats.lanesStepped += n;
-
-        if ((t - start_s) % _intervalS == 0)
-            sampleAll(now, collect);
-
-        for (int l = 0; l < n; ++l) {
-            LaneState &lane = _lanes[size_t(l)];
-            if (lane.dead)
-                continue;
-            try {
-                lane.workload->step(now, double(step));
-                const uint64_t v = lane.workload->loadVersion();
-                if (v == 0 || v != lane.loadVersion) {
-                    lane.workload->podLoadInto(_loads[size_t(l)]);
-                    lane.loadVersion = v;
-                    _loadsDirty[size_t(l)] = 1;
-                }
-            } catch (const std::exception &e) {
-                failLane(l, e.what());
-            }
-        }
-        _plant->step(double(step), _outside.data(), _loads.data(),
-                     _commands.data(), _loadsDirty.data(),
-                     _cmdsDirty.data());
-        std::fill(_loadsDirty.begin(), _loadsDirty.end(),
-                  static_cast<unsigned char>(0));
-        std::fill(_cmdsDirty.begin(), _cmdsDirty.end(),
-                  static_cast<unsigned char>(0));
-        ++gi;
-    }
 }
 
 void
-BatchedEngine::initDay(int64_t warm_start_s)
+BatchedEngine::loadWeather(int64_t t_s)
+{
+    if (_gridIndex == _gridPoints)
+        refreshGrids(t_s, _rangeEndS);
+    for (size_t l = 0; l < _parts.size(); ++l)
+        _outside[l] = _parts[l].grid.at(size_t(_gridIndex));
+    ++_gridIndex;
+}
+
+void
+BatchedEngine::startPlants(int64_t warm_start_s)
 {
     const util::SimTime warm(warm_start_s);
-    for (int l = 0; l < lanes(); ++l) {
-        LaneState &lane = _lanes[size_t(l)];
-        if (!lane.climate)
-            continue;
+    for (size_t l = 0; l < _parts.size(); ++l) {
         // Strict scalar sample here, so the start state is bit-identical
         // to the scalar engine's.
-        _plant->initializeSteadyState(l, lane.climate->sample(warm));
-        lane.nextControlS = warm_start_s;
+        if (_parts[l].climate)
+            _plant->initializeSteadyState(int(l),
+                                          _parts[l].climate->sample(warm));
     }
 }
 
 void
-BatchedEngine::runDay(int day_of_year)
+BatchedEngine::readSensors()
 {
-    obs::Span span("batch_engine.runDay");
-    const int64_t day_start = int64_t(day_of_year) * util::kSecondsPerDay;
-    const int64_t warm_start = day_start - _warmupS;
-
-    initDay(warm_start);
-    runRange(warm_start, day_start, /*collect=*/false);
-    runRange(day_start, day_start + util::kSecondsPerDay, /*collect=*/true);
+    _plant->readSensors(_sensors.data());
 }
 
 void
-BatchedEngine::runDayRange(int start_day, int end_day)
+BatchedEngine::stepPlants(double dt_s)
 {
-    if (end_day <= start_day)
-        return;
-    obs::Span span("batch_engine.runDayRange");
-
-    const int64_t start = int64_t(start_day) * util::kSecondsPerDay;
-    const int64_t end = int64_t(end_day) * util::kSecondsPerDay;
-    const int64_t warm_start = start - _warmupS;
-
-    initDay(warm_start);
-    runRange(warm_start, start, /*collect=*/false);
-    runRange(start, end, /*collect=*/true);
-}
-
-void
-BatchedEngine::collectLaneStats(const LaneState &lane,
-                                obs::StatsRegistry &reg) const
-{
-    lane.controller->addStats(reg);
-
-    reg.counter("engine.steps", "physics steps taken").add(lane.steps);
-    reg.counter("engine.samples", "collected metric samples")
-        .add(lane.samples);
-    reg.counter("engine.control_epochs", "controller invocations")
-        .add(lane.controlEpochs);
-    reg.counter("engine.regime_transitions", "commanded regime changes")
-        .add(lane.regimeTransitions);
-    reg.counter("engine.ac_minutes",
-                "collected simulated minutes in AC mode")
-        .add(lane.acSamples * _intervalS / 60);
-
-    reg.counter("metrics.violation_minutes",
-                "simulated minutes with max inlet above the desired max")
-        .add(lane.metrics->violationSamples() * _intervalS / 60);
+    _plant->step(dt_s, _outside.data(), _loads.data(), _commands.data(),
+                 _loadsDirty.data(), _cmdsDirty.data());
+    _stats.lanesStepped += lanes();
 }
 
 void
@@ -364,58 +215,48 @@ BatchedEngine::run()
         std::chrono::steady_clock::now();
     {
         obs::Span span("batch_engine.run");
-        const ExperimentSpec &proto = _lanes.front().spec;
-        switch (proto.runKind) {
-          case RunKind::YearWeekly:
-            for (int day : yearSampleDays(proto.weeks))
-                runDay(day);
-            break;
-          case RunKind::SingleDay:
-            runDay(proto.day);
-            break;
-          case RunKind::DayRange:
-            runDayRange(proto.startDay, proto.endDay);
-            break;
-        }
+        runSpan(_parts.front().spec);
     }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
 
     _stats.batchesExecuted = 1;
-    for (const LaneState &lane : _lanes)
-        _stats.simMinutes += lane.steps * _stepS / 60;
+    const int64_t step = int64_t(_config.physicsStepS);
+    for (const Lane &lane : _lanes)
+        _stats.simMinutes += lane.steps * step / 60;
 
-    std::vector<LaneResult> out(_lanes.size());
-    for (size_t l = 0; l < _lanes.size(); ++l) {
-        LaneState &lane = _lanes[l];
+    std::vector<LaneResult> out(_parts.size());
+    for (size_t l = 0; l < _parts.size(); ++l) {
+        const Lane &lane = _lanes[l];
+        const LaneParts &parts = _parts[l];
         LaneResult &res = out[l];
         if (lane.dead) {
             res.error = lane.error;
             continue;
         }
         res.ok = true;
-        res.result.system = lane.metrics->summary();
-        res.result.outside = lane.metrics->outsideSummary();
+        res.result.system = parts.metrics->summary();
+        res.result.outside = parts.metrics->outsideSummary();
 
-        if (obs::enabled() || !lane.spec.reportJsonPath.empty()) {
+        if (obs::enabled() || !parts.spec.reportJsonPath.empty()) {
             obs::StatsRegistry local;
-            collectLaneStats(lane, local);
+            addLaneStats(int(l), local);
             if (obs::enabled())
                 obs::registry().merge(local);
-            if (!lane.spec.reportJsonPath.empty()) {
+            if (!parts.spec.reportJsonPath.empty()) {
                 // Batch-wide counters fold into the report only (their
                 // owner publishes them globally exactly once below).
                 addBatchStats(local);
                 obs::RunReport report = makeRunReport(
-                    lane.spec, res.result, wall,
-                    double(lane.steps) * _physicsStepS);
-                std::ofstream os(lane.spec.reportJsonPath);
+                    parts.spec, res.result, wall,
+                    double(lane.steps) * _config.physicsStepS);
+                std::ofstream os(parts.spec.reportJsonPath);
                 if (!os) {
                     res.ok = false;
                     res.error =
                         "BatchedEngine: cannot open report JSON path: " +
-                        lane.spec.reportJsonPath;
+                        parts.spec.reportJsonPath;
                     continue;
                 }
                 obs::writeRunReport(os, report, local);

@@ -9,9 +9,8 @@
  * Lanes must share one *shape* — every spec field except the location,
  * the seed, and the output/cache paths — so the batch shares a single
  * physics-step/sample/epoch timeline and one plant::BatchedPlant.  The
- * per-step protocol transliterates sim::Engine::runRange exactly (same
- * step truncation, sample cadence, control-epoch bookkeeping, command
- * persistence across days); what changes is execution layout:
+ * timeline is sim::Engine's (sim::Timeline), run at N lanes; what
+ * changes is execution layout:
  *
  *  - plant physics and sensor noise run as SoA kernels across lanes
  *    (plant/parasol_batch.hpp, fast-math TUs);
@@ -28,11 +27,13 @@
  * while the remaining lanes run to completion.
  */
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "environment/forecast.hpp"
 #include "plant/parasol_batch.hpp"
-#include "sim/soa_state.hpp"
+#include "sim/engine.hpp"
 
 namespace coolair {
 namespace sim {
@@ -45,6 +46,15 @@ namespace sim {
  */
 std::string batchShapeKey(const ExperimentSpec &spec);
 
+/** Batch-execution counters surfaced through the StatsRegistry. */
+struct BatchStats
+{
+    int64_t batchesExecuted = 0;   ///< BatchedEngine runs completed.
+    int64_t lanesStepped = 0;      ///< Lane-steps (lanes x physics steps).
+    int64_t raggedTailLanes = 0;   ///< Lanes in under-width tail batches.
+    int64_t simMinutes = 0;        ///< Simulated minutes, summed over lanes.
+};
+
 /** Outcome of one lane of a batched run. */
 struct LaneResult
 {
@@ -54,7 +64,7 @@ struct LaneResult
 };
 
 /** Steps a batch of same-shape experiments in lockstep. */
-class BatchedEngine
+class BatchedEngine : private Timeline
 {
   public:
     /**
@@ -67,7 +77,7 @@ class BatchedEngine
      *               stats().raggedTailLanes).  0 means "exact".
      * @throws std::invalid_argument if the batch is empty, a spec has
      *         batch == 0, shapes differ, or the shared shape is
-     *         unrunnable (ScenarioBuilder's validation).
+     *         unrunnable (checkRunnable()).
      *
      * Per-lane construction failures (e.g. trace output requested) do
      * NOT throw: the lane is marked dead and surfaces as a failed
@@ -76,7 +86,7 @@ class BatchedEngine
     explicit BatchedEngine(std::vector<ExperimentSpec> specs,
                            int requested_width = 0);
 
-    int lanes() const { return int(_lanes.size()); }
+    int lanes() const { return int(_parts.size()); }
 
     /**
      * Run the shared runKind protocol and return one LaneResult per
@@ -93,45 +103,39 @@ class BatchedEngine
     const plant::BatchedPlant &plant() const { return *_plant; }
 
   private:
-    void runDay(int day_of_year);
-    void runDayRange(int start_day, int end_day);
-    void runRange(int64_t start_s, int64_t end_s, bool collect);
-    void sampleAll(util::SimTime now, bool collect);
-    void initDay(int64_t warm_start_s);
+    /** What a lane owns: its spec and the components it runs. */
+    struct LaneParts
+    {
+        ExperimentSpec spec;
+        std::unique_ptr<environment::Climate> climate;
+        std::unique_ptr<environment::Forecaster> forecaster;
+        std::unique_ptr<workload::WorkloadModel> workload;
+        std::unique_ptr<Controller> controller;
+        std::unique_ptr<MetricsCollector> metrics;
+
+        /** Pre-evaluated weather for the current grid chunk. */
+        environment::WeatherGrid grid;
+    };
+
+    void beginRange(int64_t start_s, int64_t end_s) override;
+    void loadWeather(int64_t t_s) override;
+    void startPlants(int64_t warm_start_s) override;
+    void readSensors() override;
+    void stepPlants(double dt_s) override;
+
     void refreshGrids(int64_t from_s, int64_t end_s);
-    void failLane(int lane, const char *what);
-    void collectLaneStats(const LaneState &lane,
-                          obs::StatsRegistry &reg) const;
     void addBatchStats(obs::StatsRegistry &reg) const;
 
-    std::vector<LaneState> _lanes;
+    std::vector<LaneParts> _parts;
     std::unique_ptr<plant::BatchedPlant> _plant;
-    plant::PlantConfig _plantConfig;
-
-    // Shared timeline (shape-derived).
-    double _physicsStepS = 0.0;
-    int64_t _stepS = 0;        ///< int64_t(physicsStepS), like Engine.
-    int64_t _intervalS = 0;    ///< max(60, step), like ScenarioBuilder.
-    int64_t _warmupS = 0;
 
     // Current grid chunk: lane grids all start at _gridStartS with
-    // _gridPoints samples spaced _stepS apart.
+    // _gridPoints samples spaced one physics step apart; _gridIndex is
+    // the next one to load.
+    int64_t _rangeEndS = 0;
     int64_t _gridStartS = 0;
     int _gridPoints = 0;
-
-    // Contiguous per-lane spans the plant kernels consume.
-    std::vector<environment::WeatherSample> _outside;
-    std::vector<plant::PodLoad> _loads;
-    std::vector<cooling::Regime> _commands;
-    std::vector<plant::SensorReadings> _sensors;
-
-    // Per-lane change masks handed to BatchedPlant::step: set when a
-    // lane's load is re-copied (workload loadVersion moved) or its
-    // command reassigned (control epoch), cleared after each plant
-    // step.  They only elide recomputation of values that could not
-    // have changed — results are identical with the masks disabled.
-    std::vector<unsigned char> _loadsDirty;
-    std::vector<unsigned char> _cmdsDirty;
+    int _gridIndex = 0;
 
     BatchStats _stats;
     bool _ran = false;

@@ -159,17 +159,7 @@ Scenario::run()
 
     {
         obs::Span span("scenario.run");
-        switch (_spec.runKind) {
-          case RunKind::YearWeekly:
-            _engine->runYearWeekly(_spec.weeks);
-            break;
-          case RunKind::SingleDay:
-            _engine->runDay(_spec.day);
-            break;
-          case RunKind::DayRange:
-            _engine->runDayRange(_spec.startDay, _spec.endDay);
-            break;
-        }
+        _engine->runSpan(_spec);
     }
 
     ExperimentResult result;
@@ -228,25 +218,7 @@ Scenario::collectStats(obs::StatsRegistry &reg) const
             .add(_weather->underlyingEvals());
     }
 
-    _controller->addStats(reg);
-
-    Engine::EngineStats es = _engine->stats();
-    reg.counter("engine.steps", "physics steps taken").add(es.steps);
-    reg.counter("engine.samples", "collected metric samples")
-        .add(es.samples);
-    reg.counter("engine.control_epochs", "controller invocations")
-        .add(es.controlEpochs);
-    reg.counter("engine.regime_transitions", "commanded regime changes")
-        .add(es.regimeTransitions);
-    reg.counter("engine.ac_minutes",
-                "collected simulated minutes in AC mode")
-        .add(es.acMinutes);
-
-    const int64_t sample_s =
-        std::max<int64_t>(60, int64_t(_spec.physicsStepS));
-    reg.counter("metrics.violation_minutes",
-                "simulated minutes with max inlet above the desired max")
-        .add(_metrics->violationSamples() * sample_s / 60);
+    _engine->addStats(reg);
 }
 
 obs::RunReport
@@ -358,17 +330,23 @@ ScenarioBuilder::withReportStatsSource(
     return *this;
 }
 
+void
+checkRunnable(const ExperimentSpec &spec)
+{
+    if (spec.physicsStepS <= 0.0)
+        throw std::invalid_argument(
+            "ExperimentSpec: physics step must be positive");
+    if (spec.runKind == RunKind::YearWeekly && spec.weeks <= 0)
+        throw std::invalid_argument("ExperimentSpec: weeks must be positive");
+    if (spec.runKind == RunKind::DayRange && spec.endDay <= spec.startDay)
+        throw std::invalid_argument(
+            "ExperimentSpec: day range must be non-empty");
+}
+
 std::unique_ptr<Scenario>
 ScenarioBuilder::build()
 {
-    if (_spec.physicsStepS <= 0.0)
-        throw std::invalid_argument(
-            "ExperimentSpec: physics step must be positive");
-    if (_spec.runKind == RunKind::YearWeekly && _spec.weeks <= 0)
-        throw std::invalid_argument("ExperimentSpec: weeks must be positive");
-    if (_spec.runKind == RunKind::DayRange && _spec.endDay <= _spec.startDay)
-        throw std::invalid_argument(
-            "ExperimentSpec: day range must be non-empty");
+    checkRunnable(_spec);
 
     auto scenario = std::unique_ptr<Scenario>(new Scenario());
     scenario->_spec = _spec;
@@ -411,12 +389,9 @@ ScenarioBuilder::build()
         mc.maxTempC = _spec.maxTempC;
     scenario->_metrics = std::make_unique<MetricsCollector>(mc, pc.numPods);
 
-    EngineConfig ec;
-    ec.physicsStepS = _spec.physicsStepS;
-    ec.sampleIntervalS = std::max<int64_t>(60, int64_t(_spec.physicsStepS));
     scenario->_engine = std::make_unique<Engine>(
         *scenario->_plant, *scenario->_workload, *scenario->_controller,
-        scenario->weather(), ec);
+        scenario->weather(), engineConfigFor(_spec));
     scenario->_engine->setMetrics(scenario->_metrics.get());
 
     scenario->_sinks = std::move(_sinks);

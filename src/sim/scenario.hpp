@@ -166,6 +166,13 @@ class Scenario
 };
 
 /**
+ * Throw std::invalid_argument if @p spec cannot run: a nonpositive
+ * physics step, nonpositive weeks on a year run, or an empty day range.
+ * Both engines check their specs with it.
+ */
+void checkRunnable(const ExperimentSpec &spec);
+
+/**
  * Assembles a Scenario from a spec, with optional component overrides.
  *
  * ScenarioBuilder(spec).build() reproduces the §5.1 stack exactly;
@@ -203,9 +210,8 @@ class ScenarioBuilder
 
     /**
      * Assemble the stack.
-     * @throws std::invalid_argument for an unrunnable spec (nonpositive
-     *         physics step, nonpositive weeks on a year run, empty day
-     *         range).
+     * @throws std::invalid_argument for an unrunnable spec
+     *         (checkRunnable()).
      * @throws std::runtime_error if spec.traceCsvPath cannot be opened.
      */
     std::unique_ptr<Scenario> build();
