@@ -31,9 +31,10 @@ namespace {
  * The documented batched-vs-scalar tolerance (DESIGN.md §10): each
  * Summary metric agrees within 2% relative or 0.02 absolute, whichever
  * is larger.  In practice runs agree to far better than this — the
- * plant kernels are bit-identical and only a near-tie in candidate
- * scores (last-ulp reassociation in the batched scorer) can diverge a
- * trajectory — but the contract is what the engine promises.
+ * fast-math plant kernels and libmvec move only last digits, and only a
+ * near-tie in candidate scores (last-ulp reassociation in the batched
+ * scorer) can diverge a trajectory — but the contract is what the
+ * engine promises.
  */
 constexpr double kRelTol = 0.02;
 constexpr double kAbsTol = 0.02;

@@ -290,6 +290,39 @@ TEST(ScenarioBuilder, ControllerOverrideIsUsed)
     EXPECT_EQ(r.system.days, 1);
 }
 
+// The scalar engine shares its loop with the batched one, which turns a
+// lane's exception into that lane's failure; the scalar engine must
+// instead let it reach the caller with its own type and message.
+TEST(ScenarioBuilder, ControllerExceptionReachesCaller)
+{
+    struct FaultyController : sim::FixedRegimeController
+    {
+        FaultyController()
+            : sim::FixedRegimeController(cooling::Regime::closed())
+        {
+        }
+        sim::ControlDecision control(const plant::SensorReadings &,
+                                     const workload::WorkloadStatus &,
+                                     const plant::PodLoad &,
+                                     util::SimTime) override
+        {
+            throw std::domain_error("controller fault");
+        }
+    };
+
+    sim::ExperimentSpec spec = newarkSpec();
+    spec.runKind = sim::RunKind::SingleDay;
+    auto scenario = sim::ScenarioBuilder(spec)
+                        .withController(std::make_unique<FaultyController>())
+                        .build();
+    try {
+        scenario->run();
+        FAIL() << "expected std::domain_error";
+    } catch (const std::domain_error &e) {
+        EXPECT_STREQ("controller fault", e.what());
+    }
+}
+
 TEST(ScenarioBuilder, TraceSinksFanOut)
 {
     sim::ExperimentSpec spec = newarkSpec();
