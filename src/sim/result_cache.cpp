@@ -22,18 +22,6 @@ resultCacheUsable(const ExperimentSpec &spec)
     return spec.traceCsvPath.empty() && spec.traceJsonPath.empty();
 }
 
-std::string
-resultCacheId(const ExperimentSpec &spec)
-{
-    ExperimentSpec canonical = spec;
-    canonical.resultCache = true;
-    canonical.cacheDirPath.clear();
-    canonical.traceCsvPath.clear();
-    canonical.reportJsonPath.clear();
-    canonical.traceJsonPath.clear();
-    return formatSpec(canonical);
-}
-
 store::ResultStore
 openResultStore(const std::string &dir)
 {

@@ -36,6 +36,10 @@ namespace sim {
 /** Render a spec as spec-file text (ends with a newline). */
 std::string formatSpec(const ExperimentSpec &spec);
 
+/** The cache identity (sim/result_cache.hpp): formatSpec without the
+    keys that only say where results go (cache and output paths). */
+std::string resultCacheId(const ExperimentSpec &spec);
+
 /**
  * Parse spec-file text into a spec, starting from the defaults.
  * @throws std::invalid_argument on unknown keys or malformed values.

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace coolair {
 
@@ -153,7 +154,7 @@ class ResultStore
 };
 
 /** CRC-32 (IEEE 802.3) of a byte string, the checksum entries carry. */
-uint32_t crc32(const std::string &data);
+uint32_t crc32(std::string_view data);
 
 } // namespace store
 } // namespace coolair

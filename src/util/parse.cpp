@@ -52,7 +52,7 @@ parseDouble(const std::string &s, double &out)
 }
 
 bool
-parseSize(const std::string &s, uint64_t &out, uint64_t max)
+parseSize(std::string_view s, uint64_t &out, uint64_t max)
 {
     if (s.empty())
         return false;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace coolair {
 namespace util {
@@ -49,7 +50,7 @@ bool parseDouble(const std::string &s, double &out);
  * from disk or the network, where a wrapped count mis-frames the
  * payload that follows.
  */
-bool parseSize(const std::string &s, uint64_t &out,
+bool parseSize(std::string_view s, uint64_t &out,
                uint64_t max = std::numeric_limits<uint64_t>::max());
 
 /**
