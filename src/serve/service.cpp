@@ -9,6 +9,7 @@
 #include "serve/protocol.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/result_cache.hpp"
+#include "sim/scenario.hpp"
 #include "sim/spec_io.hpp"
 #include "util/logging.hpp"
 
@@ -165,6 +166,7 @@ ExperimentService::submit(const std::string &spec_text)
         try {
             obs::Span parseSpan("serve.parse", "serve");
             spec = sim::parseSpec(spec_text);
+            sim::checkRunnable(spec);  // unrunnable specs are parse errors
         } catch (const std::exception &e) {
             _parseErrors.inc();
             return {false, 0, e.what()};

@@ -333,9 +333,16 @@ ScenarioBuilder::withReportStatsSource(
 void
 checkRunnable(const ExperimentSpec &spec)
 {
-    if (spec.physicsStepS <= 0.0)
+    const double step = spec.physicsStepS;
+    if (step <= 0.0)
         throw std::invalid_argument(
             "ExperimentSpec: physics step must be positive");
+    // The engine needs whole steps per sample (engineConfigFor).
+    if (!(step >= 1.0 && step <= 86400.0) ||
+        engineConfigFor(spec).sampleIntervalS % int64_t(step) != 0)
+        throw std::invalid_argument(
+            "ExperimentSpec: physics step must be 1 to 86400 s and divide "
+            "the sample interval, the larger of 60 s and the step");
     if (spec.runKind == RunKind::YearWeekly && spec.weeks <= 0)
         throw std::invalid_argument("ExperimentSpec: weeks must be positive");
     if (spec.runKind == RunKind::DayRange && spec.endDay <= spec.startDay)

@@ -16,6 +16,7 @@
 
 #include "environment/location.hpp"
 #include "obs/stats.hpp"
+#include "sim/batch_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/scenario.hpp"
 #include "sim/result_cache.hpp"
@@ -268,6 +269,14 @@ TEST(Scenario, InvalidSpecsThrowWithLegacyMessages)
     spec.startDay = 10;
     spec.endDay = 10;
     EXPECT_THROW(sim::runExperiment(spec), std::invalid_argument);
+
+    // A step the engine cannot sample on (60 s is not a whole number of
+    // 7 s steps) is refused up front, on both engines, instead of
+    // stopping the process mid-run.
+    spec = sim::parseSpec("run = day\nday = 10\nphysics_step = 7\n");
+    EXPECT_THROW(sim::runExperiment(spec), std::invalid_argument);
+    spec.batch = 1;
+    EXPECT_THROW(sim::runBatchedExperiment(spec), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,6 +511,14 @@ TEST(SpecIo, StrictParseErrors)
                  std::invalid_argument);
     EXPECT_THROW(sim::applySpecAssignment(spec, "seed=-1"),
                  std::invalid_argument);
+    // Spec numbers are finite decimals; strtod alone would also take
+    // NaN, infinities and hex.
+    for (const char *bad : {"max_temp=nan", "max_temp=-inf",
+                            "forecast_bias=0x10", "physics_step=infinity",
+                            "switch_penalty=1e999"})
+        EXPECT_THROW(sim::applySpecAssignment(spec, bad),
+                     std::invalid_argument)
+            << bad;
     EXPECT_THROW(sim::applySpecAssignment(spec, "just a sentence"),
                  std::invalid_argument);
     EXPECT_THROW(sim::applySpecText(spec, "weeks = 3\nbogus = 1\n"),
@@ -511,6 +528,22 @@ TEST(SpecIo, StrictParseErrors)
     // Comments and blank lines are fine.
     sim::applySpecText(spec, "# comment\n\n  weeks = 7 \n");
     EXPECT_EQ(7, spec.weeks);
+}
+
+TEST(SpecIo, RunnableStepsAndSubnormalsStillRoundTrip)
+{
+    // The stricter number parse keeps every spec formatSpec writes: the
+    // steps the engine runs, and a subnormal (which strtod flags with
+    // ERANGE although it reads it exactly).
+    for (double step : {15.0, 30.0, 60.0, 90.0, 120.0}) {
+        sim::ExperimentSpec spec = newarkSpec();
+        spec.physicsStepS = step;
+        EXPECT_EQ(spec, sim::parseSpec(sim::formatSpec(spec))) << step;
+        EXPECT_NO_THROW(sim::checkRunnable(spec)) << step;
+    }
+    sim::ExperimentSpec spec = newarkSpec();
+    spec.switchPenalty = 1e-310;
+    EXPECT_EQ(spec, sim::parseSpec(sim::formatSpec(spec)));
 }
 
 TEST(SpecIo, ParseErrorsNameKeyAndLine)
