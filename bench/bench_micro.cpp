@@ -2,10 +2,15 @@
  * @file
  * Microbenchmarks (google-benchmark) for the performance-critical
  * building blocks: plant physics stepping, model prediction rollout,
- * regression fitting, and the cluster simulator.
+ * regression fitting, the cluster simulator, and the result store's
+ * warm read path (cache identity, entry lookup, result text).
  */
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
@@ -15,9 +20,11 @@
 #include "plant/parasol.hpp"
 #include "plant/parasol_batch.hpp"
 #include "sim/batch_engine.hpp"
+#include "sim/result_cache.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "sim/spec_io.hpp"
+#include "store/result_store.hpp"
 #include "util/rng.hpp"
 #include "workload/cluster.hpp"
 
@@ -352,6 +359,100 @@ BM_ClimateSample(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ClimateSample);
+
+// ---------------------------------------------------------------------------
+// The warm read path: what a sweep or SUBMIT answered from the result
+// store costs per spec, layer by layer.
+// ---------------------------------------------------------------------------
+
+/** A world-grid sweep spec, as the warm sweeps key their entries. */
+sim::ExperimentSpec
+worldSweepSpec()
+{
+    sim::ExperimentSpec spec;
+    spec.location = environment::worldGrid()[737];
+    spec.system = sim::SystemId::AllNd;
+    spec.workload = sim::WorkloadKind::FacebookProfile;
+    spec.runKind = sim::RunKind::SingleDay;
+    spec.physicsStepS = 120.0;
+    spec.batch = 8;
+    spec.cacheDirPath = "results";
+    return spec;
+}
+
+/** A real one-day result at that site (Baseline, scalar, untimed). */
+const sim::ExperimentResult &
+sweepResult()
+{
+    static const sim::ExperimentResult result = [] {
+        sim::ExperimentSpec spec = worldSweepSpec();
+        spec.system = sim::SystemId::Baseline;
+        spec.batch = 0;
+        spec.cacheDirPath.clear();
+        return sim::runExperiment(spec);
+    }();
+    return result;
+}
+
+void
+BM_ResultCacheId(benchmark::State &state)
+{
+    const sim::ExperimentSpec spec = worldSweepSpec();
+    for (auto _ : state) {
+        std::string id = sim::resultCacheId(spec);
+        benchmark::DoNotOptimize(id.data());
+    }
+}
+BENCHMARK(BM_ResultCacheId);
+
+/** One stored entry (~1.6 kB: a world-grid id and its payload), read
+    back with the page cache warm. */
+void
+BM_StoreLookupHit(benchmark::State &state)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("coolair-bench-store-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    {
+        store::ResultStore st = sim::openResultStore(dir.string());
+        const std::string id = sim::resultCacheId(worldSweepSpec());
+        if (!st.store(id, sim::formatResult(sweepResult())))
+            state.SkipWithError("cannot write the store entry");
+        std::string payload;
+        for (auto _ : state) {
+            bool hit = st.lookup(id, payload);
+            benchmark::DoNotOptimize(hit);
+            benchmark::DoNotOptimize(payload.data());
+        }
+        state.counters["entry_bytes"] =
+            double(std::filesystem::file_size(st.entryPath(id)));
+    }
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreLookupHit);
+
+void
+BM_FormatResult(benchmark::State &state)
+{
+    const sim::ExperimentResult result = sweepResult();
+    for (auto _ : state) {
+        std::string text = sim::formatResult(result);
+        benchmark::DoNotOptimize(text.data());
+    }
+}
+BENCHMARK(BM_FormatResult);
+
+void
+BM_ParseResult(benchmark::State &state)
+{
+    const std::string text = sim::formatResult(sweepResult());
+    for (auto _ : state) {
+        sim::ExperimentResult result = sim::parseResult(text);
+        benchmark::DoNotOptimize(result.system.pue);
+    }
+}
+BENCHMARK(BM_ParseResult);
 
 } // anonymous namespace
 
