@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
 #include "model/cooling_model.hpp"
+#include "sim/experiment.hpp"
+#include "util/rng.hpp"
 
 using namespace coolair;
 using namespace coolair::core;
@@ -212,4 +218,257 @@ TEST(Optimizer, DecisionReportsDiagnostics)
     EXPECT_GT(d.penalty, 0.0);       // nothing avoids all violations
     EXPECT_GE(d.energyKwh, 0.0);
     EXPECT_GE(d.score, d.penalty - 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The batched scorer (CoolingPredictor::scoreCandidates) against the scalar
+// rollouts: the same score, penalty and energy for every candidate, to 1e-10
+// relative (floor 1), over deterministic random states.  The batched path
+// reassociates the model arithmetic, so its scores may move in the last ulps
+// but never by more.
+
+namespace {
+
+/**
+ * A model with random stable weights on most transition keys.  Some keys
+ * and some (key, pod) entries stay unfitted, so the fallback chain and the
+ * persistence rows are exercised; AcFanOnly's steady model is never fitted,
+ * so every key into it falls through to persistence for unfitted pods.
+ */
+CoolingModel
+randomModel(int pods, uint64_t seed)
+{
+    CoolingModelConfig cfg;
+    cfg.numPods = pods;
+    CoolingModel m(cfg);
+    util::Rng rng(seed);
+    for (int from = 0; from < cooling::kNumRegimeClasses; ++from) {
+        for (int to = 0; to < cooling::kNumRegimeClasses; ++to) {
+            const cooling::TransitionKey key{RegimeClass(from),
+                                             RegimeClass(to)};
+            const bool steady = from == to;
+            if (steady && RegimeClass(to) == RegimeClass::AcFanOnly)
+                continue;
+            if (!steady && !rng.bernoulli(0.7))
+                continue;
+            for (int pod = 0; pod < pods; ++pod) {
+                if (!rng.bernoulli(0.9))
+                    continue;
+                m.setTempModel(
+                    key, pod,
+                    LinearModel({rng.uniform(-2.0, 4.0),
+                                 rng.uniform(0.3, 0.8),
+                                 rng.uniform(0.0, 0.15),
+                                 rng.uniform(0.0, 0.1),
+                                 rng.uniform(-0.05, 0.05),
+                                 rng.uniform(-3.0, 0.0),
+                                 rng.uniform(-0.5, 0.5),
+                                 rng.uniform(0.0, 2.0),
+                                 rng.uniform(-0.3, 0.0),
+                                 rng.uniform(0.0, 0.3),
+                                 rng.uniform(0.0, 2.0)}));
+            }
+            if (rng.bernoulli(0.8)) {
+                m.setHumidityModel(
+                    key, LinearModel({rng.uniform(0.0, 1.0),
+                                      rng.uniform(0.5, 0.95),
+                                      rng.uniform(0.0, 0.2),
+                                      rng.uniform(-1.0, 1.0),
+                                      rng.uniform(-0.1, 0.1),
+                                      rng.uniform(0.0, 0.1)}));
+            }
+        }
+    }
+    return m;
+}
+
+PredictorState
+randomState(util::Rng &rng, int pods, const RegimeMenu &menu)
+{
+    PredictorState st;
+    for (int p = 0; p < pods; ++p) {
+        const double t = rng.uniform(12.0, 42.0);
+        st.podTempC.push_back(t);
+        st.podTempPrevC.push_back(t + rng.uniform(-2.0, 2.0));
+    }
+    st.coldAbsHumidity = rng.uniform(2.0, 18.0);
+    st.outsideC = rng.uniform(-15.0, 42.0);
+    st.outsidePrevC = st.outsideC + rng.uniform(-1.5, 1.5);
+    st.outsideAbsHumidity = rng.uniform(1.0, 22.0);
+    st.fanSpeedPrev = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 1.0);
+    st.dcUtilization = rng.uniform(0.05, 1.0);
+    if (rng.bernoulli(0.75)) {
+        for (int p = 0; p < pods; ++p)
+            st.podPowerFraction.push_back(rng.uniform(0.0, 1.0));
+    }
+    st.currentRegime = menu.candidates[size_t(
+        rng.uniformInt(0, int64_t(menu.candidates.size()) - 1))];
+    return st;
+}
+
+double
+relativeGap(double a, double b)
+{
+    return std::fabs(a - b) / std::max({1.0, std::fabs(a), std::fabs(b)});
+}
+
+/** Worst batched-vs-scalar deviation seen, and where it happened. */
+struct PinReport
+{
+    double worst = 0.0;
+    std::string where;
+    int clearWinners = 0;      ///< states whose runner-up trails > 1e-6
+    int selectionMismatches = 0;
+    std::string firstMismatch;
+};
+
+/**
+ * Score @p states random states on @p model with @p pods pods per state,
+ * cycling the menus, horizons and the energy / centering / humidity
+ * switches, and compare every candidate's batched score, penalty and
+ * energy with predictScoredInto (abandonment off, same switch term).
+ * Also checks that chooseBatched() picks choose()'s regime whenever the
+ * scalar runner-up trails the winner by more than 1e-6.
+ */
+PinReport
+pinBatchedToScalar(const CoolingModel &model, int pods, int states,
+                   uint64_t seed)
+{
+    const RegimeMenu menus[] = {RegimeMenu::parasol(), RegimeMenu::smooth(),
+                                RegimeMenu::smoothWithEvaporative()};
+    const int horizons[] = {8, 5, 1};
+    util::Rng rng(seed);
+    PinReport report;
+    Trajectory traj;
+    std::vector<CandidateScore> batched;
+    std::vector<double> switch_terms;
+    std::vector<double> scalar_scores;
+
+    for (int i = 0; i < states; ++i) {
+        const RegimeMenu &menu = menus[i % 3];
+        const int horizon = horizons[(i / 3) % 3];
+        CoolingPredictor pred(&model, horizon);
+
+        UtilityConfig cfg;
+        cfg.energyAware = (i & 8) != 0;
+        cfg.centeringWeightPerC = (i & 16) ? rng.uniform(0.01, 0.5) : 0.0;
+        cfg.penalizeHumidity = (i & 32) != 0;
+        cfg.penalizeMaxTemp = rng.bernoulli(0.9);
+        cfg.penalizeBand = rng.bernoulli(0.9);
+        cfg.penalizeRate = rng.bernoulli(0.9);
+        cfg.penalizeAcFull = rng.bernoulli(0.8);
+        cfg.maxTempC = rng.uniform(24.0, 34.0);
+        cfg.maxRateCPerHour = rng.uniform(5.0, 30.0);
+        cfg.energyWeightPerKwh = rng.uniform(0.5, 10.0);
+        cfg.switchPenalty = rng.uniform(0.0, 2.0);
+        const double lo = rng.uniform(15.0, 27.0);
+        const TemperatureBand band =
+            TemperatureBand::fixed(lo, lo + rng.uniform(1.0, 8.0));
+
+        const PredictorState st = randomState(rng, pods, menu);
+        std::vector<int> active;
+        for (int p = 0; p < pods; ++p)
+            if (rng.bernoulli(0.7))
+                active.push_back(p);
+
+        EpochOutlook outlook;
+        outlook.materialize(st, horizon, model.config().evapEffectiveness);
+        const RegimeClass cur = cooling::classify(st.currentRegime);
+        switch_terms.clear();
+        for (const Regime &cand : menu.candidates)
+            switch_terms.push_back(
+                cooling::classify(cand) != cur ? cfg.switchPenalty : 0.0);
+
+        pred.scoreCandidates(st, menu, outlook, active, band, cfg,
+                             switch_terms, batched);
+        if (batched.size() != menu.candidates.size()) {
+            report.worst = INFINITY;
+            report.where = "wrong number of scores";
+            return report;
+        }
+
+        ScoreContext sc;
+        sc.activePods = &active;
+        sc.band = &band;
+        sc.utility = &cfg;
+        scalar_scores.clear();
+        for (size_t c = 0; c < menu.candidates.size(); ++c) {
+            sc.switchTerm = switch_terms[c];
+            double penalty = 0.0;
+            pred.predictScoredInto(st, menu.candidates[c], outlook, sc, traj,
+                                   penalty);
+            double score = penalty;
+            if (cfg.energyAware)
+                score += cfg.energyWeightPerKwh * traj.coolingEnergyKwh;
+            score += sc.switchTerm;
+            scalar_scores.push_back(score);
+
+            const double gaps[] = {
+                relativeGap(batched[c].score, score),
+                relativeGap(batched[c].penalty, penalty),
+                relativeGap(batched[c].energyKwh, traj.coolingEnergyKwh)};
+            const char *names[] = {"score", "penalty", "energy"};
+            const double scalar[] = {score, penalty, traj.coolingEnergyKwh};
+            const double batch[] = {batched[c].score, batched[c].penalty,
+                                    batched[c].energyKwh};
+            for (int k = 0; k < 3; ++k) {
+                if (!(gaps[k] <= report.worst)) {
+                    report.worst = gaps[k];
+                    std::ostringstream os;
+                    os.precision(17);
+                    os << names[k] << " of " << menu.candidates[c].str()
+                       << " at state " << i << " (horizon " << horizon
+                       << ", " << active.size() << " active pods): batched "
+                       << batch[k] << " vs scalar " << scalar[k];
+                    report.where = os.str();
+                }
+            }
+        }
+
+        std::vector<double> sorted = scalar_scores;
+        std::sort(sorted.begin(), sorted.end());
+        if (sorted.size() < 2 || sorted[1] - sorted[0] <= 1e-6)
+            continue;
+        ++report.clearWinners;
+        CoolingOptimizer opt(menu, cfg);
+        const Regime scalar_pick =
+            opt.choose(pred, st, outlook, active, band, traj).regime;
+        const Regime batched_pick =
+            opt.chooseBatched(pred, st, outlook, active, band).regime;
+        if (!(scalar_pick == batched_pick)) {
+            if (report.selectionMismatches++ == 0)
+                report.firstMismatch = "state " + std::to_string(i) +
+                                       ": choose " + scalar_pick.str() +
+                                       " vs chooseBatched " +
+                                       batched_pick.str();
+        }
+    }
+    return report;
+}
+
+void
+expectPinned(const PinReport &r, int states)
+{
+    EXPECT_LE(r.worst, 1e-10) << "worst deviation: " << r.where;
+    EXPECT_EQ(r.selectionMismatches, 0) << r.firstMismatch;
+    // The selection check must not be vacuous.
+    EXPECT_GT(r.clearWinners, states / 2);
+}
+
+} // anonymous namespace
+
+TEST(BatchedScorer, MatchesScalarRolloutsOnSharedBundle)
+{
+    constexpr int kStates = 6000;
+    const PinReport r =
+        pinBatchedToScalar(sim::sharedBundle().model, 8, kStates, 17);
+    expectPinned(r, kStates);
+}
+
+TEST(BatchedScorer, MatchesScalarRolloutsOnTestModel)
+{
+    constexpr int kStates = 6000;
+    const CoolingModel m = randomModel(2, 29);
+    const PinReport r = pinBatchedToScalar(m, 2, kStates, 31);
+    expectPinned(r, kStates);
 }
