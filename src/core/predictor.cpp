@@ -161,6 +161,7 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
                                   std::vector<CandidateScore> &out) const
 {
     using cooling::RegimeClass;
+    using kernels::kBankRows;
 
     const int pods = int(state.podTempC.size());
     const int cands = int(menu.candidates.size());
@@ -173,301 +174,182 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
         util::panic("scoreCandidates: switch_terms arity mismatch");
     for (int pod : activePods)
         if (pod < 0 || pod >= pods)
-            util::panic("trajectoryPenalty: pod index out of range");
+            util::panic("scoreCandidates: pod index out of range");
     _stats.rollouts += cands;
 
-    const double step_h = _model->config().stepS / 3600.0;
-    const RegimeClass cur_cls = cooling::classify(state.currentRegime);
-
-    const size_t n = size_t(cands) * size_t(pods);
+    // Bank slots: the first step's map into each class (current class
+    // -> class), each class's steady map, and interpolated AC's
+    // compressor-off steady map (AcCompressor -> AcFanOnly).
+    constexpr int kCls = cooling::kNumRegimeClasses;
+    constexpr int kOffRest = 2 * kCls;
+    const int pods8 = kernels::paddedPods(pods);
+    const size_t P = size_t(pods8);
     const size_t nh = size_t(cands) * size_t(horizon);
-    _ctA0.resize(n); _ctB0.resize(n); _ctC0.resize(n);
-    _ctA1.resize(n); _ctB1.resize(n); _ctC1.resize(n);
-    _ctT.resize(n); _ctTPrev.resize(n);
-    _ctHist.resize(size_t(horizon + 1) * n);
-    _ctTmpA.resize(size_t(pods));
-    _ctTmpB.resize(size_t(pods));
-    _ctTmpC.resize(size_t(pods));
-    _chAlpha0.resize(size_t(cands)); _chBeta0.resize(size_t(cands));
-    _chAlpha1.resize(size_t(cands)); _chBeta1.resize(size_t(cands));
-    _chHist.resize(nh);
-    _cAvgT.resize(nh); _cRh.resize(nh);
-    _cPowerW.resize(size_t(cands));
-    _cPf.resize(size_t(pods));
-    _cMask.resize(size_t(pods));
-    _cMaskN.resize(n);
-    _cPeA.resize(n);
-    _cPen.resize(size_t(cands));
-    _cFan.resize(size_t(cands));
-    _cOutC.resize(size_t(cands));
-    _cOutPrev0.resize(size_t(cands));
-    _cFanPrev0.resize(size_t(cands));
-    _cCandFan.resize(size_t(cands));
-    _cBankFirst.resize(size_t(cands));
-    _cBankRest.resize(size_t(cands));
-    out.assign(size_t(cands), CandidateScore{});
+    if (_cAvgT.size() != nh || _cPods.size() != 4 * P) {
+        _cBanks.resize(size_t(kOffRest + 1) * kBankRows * P);
+        _cPods.resize(4 * P);
+        _cLaneSum.resize(size_t(horizon) * kernels::kPodBlock);
+        _cAvgT.resize(nh);
+        _cAbsH.resize(nh);
+        _cRh.resize(nh);
+    }
+    out.resize(size_t(cands));
 
-    for (int p = 0; p < pods; ++p)
-        _cPf[size_t(p)] = p < int(state.podPowerFraction.size())
-                              ? state.podPowerFraction[size_t(p)]
-                              : 0.5;
-    std::fill(_cMask.begin(), _cMask.end(), 0.0);
+    // Padded pod inputs; the padding stays zero (mask included).
+    double *t0 = _cPods.data();
+    double *tprev0 = t0 + P;
+    double *pf = t0 + 2 * P;
+    double *mask = t0 + 3 * P;
+    std::fill(_cPods.begin(), _cPods.end(), 0.0);
+    for (int p = 0; p < pods; ++p) {
+        t0[p] = state.podTempC[size_t(p)];
+        tprev0[p] = state.podTempPrevC[size_t(p)];
+        pf[p] = p < int(state.podPowerFraction.size())
+                    ? state.podPowerFraction[size_t(p)]
+                    : 0.5;
+    }
     for (int pod : activePods)
-        _cMask[size_t(pod)] = 1.0;
-    for (int c = 0; c < cands; ++c)
-        std::copy(_cMask.begin(), _cMask.end(),
-                  _cMaskN.begin() + size_t(c) * size_t(pods));
+        mask[pod] = 1.0;
 
-    // --- Collapse each (candidate, pod) linear model into an affine
-    // recurrence T' = a*T + b*Tprev + c.  Per candidate, only two
-    // resolved-model sets ever apply (current->candidate at step 0,
-    // candidate->candidate after), and the outlook holds every
-    // non-state feature constant, so the collapse happens once per
-    // rollout instead of per pod per step.  The transposed weight banks
-    // (persistence = identity rows) keep the collapse kernel branch-
-    // free over contiguous pod lanes.
-    const double dc_u = state.dcUtilization;
-    bool any_interp = false;
-
-    // Per-epoch memo of the resolved banks by candidate class: the menu
-    // reuses a handful of transition keys, so resolve each at most once
-    // per epoch instead of per candidate.
-    constexpr size_t kCls = size_t(RegimeClass::NumClasses);
-    std::array<const ResolvedModels *, kCls> first_by_cls{};
-    std::array<const ResolvedModels *, kCls> rest_by_cls{};
-    auto first_for = [&](RegimeClass cls) {
-        const ResolvedModels *&e = first_by_cls[size_t(cls)];
-        if (!e)
-            e = &resolved({cur_cls, cls});
-        return e;
+    // --- Collapse each transition bank the menu uses once per epoch:
+    // the outlook holds every non-state feature constant, so a bank
+    // reduces to per-pod affine terms `T' = a*T + b*Tprev + c` in which
+    // only the candidate's fan varies (kernels::collapseBankN).
+    const RegimeClass cur_cls = cooling::classify(state.currentRegime);
+    std::array<const ResolvedModels *, kOffRest + 1> banks{};
+    auto bank = [&](int slot) -> const ResolvedModels & {
+        const ResolvedModels *&res = banks[size_t(slot)];
+        if (res)
+            return *res;
+        const bool first = slot < kCls;
+        const RegimeClass to = slot == kOffRest ? RegimeClass::AcFanOnly
+                                                : RegimeClass(slot % kCls);
+        const RegimeClass from = first ? cur_cls
+                                 : slot == kOffRest
+                                     ? RegimeClass::AcCompressor
+                                     : to;
+        res = &resolved({from, to});
+        // Evaporative candidates are driven by the pre-cooled intake.
+        const bool evap = to == RegimeClass::FcEvap;
+        const double out_c = evap ? outlook.evapOutletC : outlook.outsideC[0];
+        const double out_prev =
+            first && !evap ? outlook.outsidePrevC : out_c;
+        kernels::collapseBankN(
+            pods, int(res->temp.size()), res->tempW.data(), out_c, out_prev,
+            first ? state.fanSpeedPrev : 0.0, first ? 0.0 : 1.0,
+            state.dcUtilization, pf, pods8,
+            _cBanks.data() + size_t(slot) * kBankRows * P);
+        return *res;
     };
-    auto rest_for = [&](RegimeClass cls) {
-        const ResolvedModels *&e = rest_by_cls[size_t(cls)];
-        if (!e)
-            e = &resolved({cls, cls});
-        return e;
+    auto coef = [&](int slot) {
+        return _cBanks.data() + size_t(slot) * kBankRows * P;
     };
 
+    const double step_h = _model->config().stepS / 3600.0;
+    kernels::TempPenalty tw;
+    tw.wMaxTemp = cfg.penalizeMaxTemp ? 2.0 : 0.0;  // one unit per 0.5 C
+    tw.maxTempC = cfg.maxTempC;
+    tw.wBand = cfg.penalizeBand ? 2.0 : 0.0;
+    tw.bandLowC = band.lowC;
+    tw.bandHighC = band.highC;
+    tw.wRate = cfg.penalizeRate ? 1.0 : 0.0;
+    tw.invStepH = 1.0 / std::max(step_h, 1e-9);
+    tw.stepH = step_h;
+    tw.maxRateCPerHour = cfg.maxRateCPerHour;
+    tw.wCenter = cfg.penalizeBand && cfg.centeringWeightPerC > 0.0
+                     ? cfg.centeringWeightPerC
+                     : 0.0;
+    tw.centerC = band.center();
+    const double inv_pods = pods > 0 ? 1.0 / pods : 0.0;
+
+    // --- One fused pass per candidate: rollout and temperature penalty
+    // in registers, writing only the per-step pod averages RH needs.
     for (int c = 0; c < cands; ++c) {
         const cooling::Regime &candidate = menu.candidates[size_t(c)];
-        const double candidate_fan =
-            candidate.mode == cooling::Mode::FreeCooling
-                ? candidate.fanSpeed
-                : 0.0;
-        const bool evap = candidate.mode == cooling::Mode::FreeCooling &&
-                          candidate.evaporative;
-        const RegimeClass cand_cls = cooling::classify(candidate);
+        const RegimeClass cls = cooling::classify(candidate);
+        // Variable-speed AC blends the compressor-on and -off maps by
+        // compressor speed; its fan is zero like every AC candidate's.
         const bool ac_interp =
             candidate.mode == cooling::Mode::AirConditioning &&
             candidate.compressorOn &&
             candidate.compressorSpeed < 1.0 - 1e-9;
-        const double interp_s =
-            util::clamp(candidate.compressorSpeed, 0.0, 1.0);
-        const double fan = ac_interp ? 0.0 : candidate_fan;
+        const int first_on = int(cls);
+        const int rest_on = kCls + int(cls);
+        const int first_off =
+            ac_interp ? int(RegimeClass::AcFanOnly) : first_on;
+        const int rest_off = ac_interp ? kOffRest : rest_on;
 
-        const ResolvedModels *res_first = nullptr;
-        const ResolvedModels *res_rest = nullptr;
-        const ResolvedModels *res_first_off = nullptr;
-        const ResolvedModels *res_rest_off = nullptr;
-        if (ac_interp) {
-            // cand_cls is AcCompressor here, so the class memo covers
-            // the "on" banks; the off banks share one key pair across
-            // every interpolated candidate.
-            res_first = first_for(RegimeClass::AcCompressor);
-            res_rest = rest_for(RegimeClass::AcCompressor);
-            res_first_off = first_for(RegimeClass::AcFanOnly);
-            res_rest_off = &resolved({cand_cls, RegimeClass::AcFanOnly});
-        } else {
-            res_first = first_for(cand_cls);
-            res_rest = rest_for(cand_cls);
-        }
+        kernels::CandidateMaps maps;
+        maps.s = ac_interp ? util::clamp(candidate.compressorSpeed, 0.0, 1.0)
+                           : 0.0;
+        maps.fan = candidate.mode == cooling::Mode::FreeCooling
+                       ? candidate.fanSpeed
+                       : 0.0;
+        const ResolvedModels *res[] = {&bank(first_on), &bank(first_off),
+                                       &bank(rest_on), &bank(rest_off)};
+        maps.firstOn = coef(first_on);
+        maps.firstOff = coef(first_off);
+        maps.restOn = coef(rest_on);
+        maps.restOff = coef(rest_off);
 
-        _cPowerW[size_t(c)] = _model->predictCoolingPower(candidate);
-
-        // Outside features: held at the observation (or the evaporative
-        // outlet) for the whole horizon; only outsidePrevC differs at
-        // step 0.
-        const double out_c =
-            evap ? outlook.evapOutletC : outlook.outsideC[0];
-        const double out_prev0 =
-            evap ? outlook.evapOutletC : outlook.outsidePrevC;
-
-        // Collapse inputs for the fused menu kernel below.
-        const size_t base = size_t(c) * size_t(pods);
-        _cBankFirst[size_t(c)] = res_first->tempW.data();
-        _cBankRest[size_t(c)] = res_rest->tempW.data();
-        _cFan[size_t(c)] = fan;
-        _cOutC[size_t(c)] = out_c;
-        _cOutPrev0[size_t(c)] = out_prev0;
-        _cFanPrev0[size_t(c)] = state.fanSpeedPrev;
-        _cCandFan[size_t(c)] = candidate_fan;
-        any_interp = any_interp || ac_interp;
+        double *avg_t = _cAvgT.data() + size_t(c) * size_t(horizon);
+        out[size_t(c)].penalty = kernels::rolloutPenaltyN(
+            pods8, horizon, maps, t0, tprev0, mask, tw, inv_pods,
+            _cLaneSum.data(), avg_t);
+        if (pods == 0)
+            std::fill(avg_t, avg_t + horizon, 20.0);
 
         // Humidity: h' = alpha*h + beta, constant across the horizon
         // except the step-0 transition model.
-        auto collapse_h = [&](const ResolvedModels *res, double &alpha,
-                              double &beta) {
-            const auto &w = res->humW;
-            alpha = w[1] + w[4] * fan;
-            beta = w[0] + (w[2] + w[5] * fan) * state.outsideAbsHumidity +
-                   w[3] * fan;
-        };
-        double al_on, be_on;
-        collapse_h(res_first, al_on, be_on);
-        if (ac_interp) {
-            double al_off, be_off;
-            collapse_h(res_first_off, al_off, be_off);
-            _chAlpha0[size_t(c)] = al_off + (al_on - al_off) * interp_s;
-            _chBeta0[size_t(c)] = be_off + (be_on - be_off) * interp_s;
-        } else {
-            _chAlpha0[size_t(c)] = al_on;
-            _chBeta0[size_t(c)] = be_on;
+        double alpha[2], beta[2];
+        for (int k = 0; k < 2; ++k) {
+            const auto &on = res[2 * k]->humW;
+            const auto &off = res[2 * k + 1]->humW;
+            const double fan = maps.fan;
+            const double oa = state.outsideAbsHumidity;
+            const double al_on = on[1] + on[4] * fan;
+            const double al_off = off[1] + off[4] * fan;
+            const double be_on = on[0] + (on[2] + on[5] * fan) * oa +
+                                 on[3] * fan;
+            const double be_off = off[0] + (off[2] + off[5] * fan) * oa +
+                                  off[3] * fan;
+            alpha[k] = al_off + (al_on - al_off) * maps.s;
+            beta[k] = be_off + (be_on - be_off) * maps.s;
         }
-        collapse_h(res_rest, al_on, be_on);
-        if (ac_interp) {
-            double al_off, be_off;
-            collapse_h(res_rest_off, al_off, be_off);
-            _chAlpha1[size_t(c)] = al_off + (al_on - al_off) * interp_s;
-            _chBeta1[size_t(c)] = be_off + (be_on - be_off) * interp_s;
-        } else {
-            _chAlpha1[size_t(c)] = al_on;
-            _chBeta1[size_t(c)] = be_on;
-        }
-
-        // Rollout state + history row 0 (the step-0 rate reference).
-        for (int p = 0; p < pods; ++p) {
-            _ctT[base + size_t(p)] = state.podTempC[size_t(p)];
-            _ctTPrev[base + size_t(p)] = state.podTempPrevC[size_t(p)];
-            _ctHist[base + size_t(p)] = state.podTempC[size_t(p)];
-        }
-    }
-
-    // --- Fused collapse: every candidate's step-0 and steady banks in
-    // two kernel calls, from the inputs staged above.
-    kernels::collapseMenuN(cands, pods, _cBankFirst.data(), _cFan.data(),
-                           _cOutC.data(), _cOutPrev0.data(),
-                           _cFanPrev0.data(), dc_u, _cPf.data(),
-                           _ctA0.data(), _ctB0.data(), _ctC0.data());
-    kernels::collapseMenuN(cands, pods, _cBankRest.data(), _cFan.data(),
-                           _cOutC.data(), _cOutC.data(), _cCandFan.data(),
-                           dc_u, _cPf.data(), _ctA1.data(), _ctB1.data(),
-                           _ctC1.data());
-    if (any_interp) {
-        // Interpolated AC: blend each candidate's compressor-on affine
-        // map toward the compressor-off map by compressor speed (affine
-        // maps blend coefficient-wise exactly like outputs).  Every
-        // interpolated candidate has fan = 0 and is not evaporative, so
-        // one off-bank collapse serves them all.
-        auto is_interp = [&](const cooling::Regime &r) {
-            return r.mode == cooling::Mode::AirConditioning &&
-                   r.compressorOn && r.compressorSpeed < 1.0 - 1e-9;
-        };
-        const double out_c = outlook.outsideC[0];
-        const ResolvedModels &off_first =
-            resolved({cur_cls, RegimeClass::AcFanOnly});
-        kernels::collapseAffineN(pods, off_first.tempW.data(), 0.0, out_c,
-                                 outlook.outsidePrevC, state.fanSpeedPrev,
-                                 dc_u, _cPf.data(), _ctTmpA.data(),
-                                 _ctTmpB.data(), _ctTmpC.data());
-        for (int c = 0; c < cands; ++c) {
-            const cooling::Regime &candidate = menu.candidates[size_t(c)];
-            if (!is_interp(candidate))
-                continue;
-            const size_t base = size_t(c) * size_t(pods);
-            kernels::blendAffineN(
-                pods, _ctTmpA.data(), _ctTmpB.data(), _ctTmpC.data(),
-                util::clamp(candidate.compressorSpeed, 0.0, 1.0),
-                _ctA0.data() + base, _ctB0.data() + base,
-                _ctC0.data() + base);
-        }
-        const ResolvedModels &off_rest =
-            resolved({RegimeClass::AcCompressor, RegimeClass::AcFanOnly});
-        kernels::collapseAffineN(pods, off_rest.tempW.data(), 0.0, out_c,
-                                 out_c, 0.0, dc_u, _cPf.data(),
-                                 _ctTmpA.data(), _ctTmpB.data(),
-                                 _ctTmpC.data());
-        for (int c = 0; c < cands; ++c) {
-            const cooling::Regime &candidate = menu.candidates[size_t(c)];
-            if (!is_interp(candidate))
-                continue;
-            const size_t base = size_t(c) * size_t(pods);
-            kernels::blendAffineN(
-                pods, _ctTmpA.data(), _ctTmpB.data(), _ctTmpC.data(),
-                util::clamp(candidate.compressorSpeed, 0.0, 1.0),
-                _ctA1.data() + base, _ctB1.data() + base,
-                _ctC1.data() + base);
-        }
-    }
-
-    // --- Advance all candidates x pods in one pass, keeping the whole
-    // temperature history for the penalty kernel.
-    kernels::rolloutN(int64_t(n), horizon, _ctA0.data(), _ctB0.data(),
-                      _ctC0.data(), _ctA1.data(), _ctB1.data(),
-                      _ctC1.data(), _ctT.data(), _ctTPrev.data(),
-                      _ctHist.data());
-
-    // Per-step cold-aisle averages and the humidity recurrences, then
-    // one batched RH conversion for the whole candidates x steps grid.
-    if (pods > 0)
-        kernels::podAvgN(cands, pods, horizon, _ctHist.data(),
-                         _cAvgT.data());
-    else
-        std::fill(_cAvgT.begin(), _cAvgT.end(), 20.0);
-    for (int c = 0; c < cands; ++c) {
-        const size_t hbase = size_t(c) * size_t(horizon);
+        double *abs_h = _cAbsH.data() + size_t(c) * size_t(horizon);
         double h = state.coldAbsHumidity;
         for (int step = 0; step < horizon; ++step) {
-            h = (step == 0 ? _chAlpha0[size_t(c)] : _chAlpha1[size_t(c)]) *
-                    h +
-                (step == 0 ? _chBeta0[size_t(c)] : _chBeta1[size_t(c)]);
-            _chHist[hbase + size_t(step)] = h;
+            const int k = step == 0 ? 0 : 1;
+            h = alpha[k] * h + beta[k];
+            abs_h[step] = h;
         }
+        out[size_t(c)].energyKwh = _model->predictCoolingPower(candidate) *
+                                   step_h / 1000.0 * double(horizon);
     }
-    physics::relativeHumidityN(_cAvgT.data(), _chHist.data(), _cRh.data(),
+
+    // --- Humidity, energy, AC-full and switch terms in one pass over
+    // candidates x steps, after one batched RH conversion.
+    physics::relativeHumidityN(_cAvgT.data(), _cAbsH.data(), _cRh.data(),
                                int(nh));
-
-    // --- Penalty pass: the temperature terms run in the kernel (each
-    // max()/mask term is zero exactly when the scalar branch would not
-    // fire); humidity, energy, and the AC-full surcharge finish here.
-    const double w_mt = cfg.penalizeMaxTemp ? 2.0 : 0.0;   // 1 / 0.5 C
-    const double w_band = cfg.penalizeBand ? 2.0 : 0.0;
-    const double w_rate = cfg.penalizeRate ? 1.0 : 0.0;
-    const double w_center =
-        cfg.penalizeBand && cfg.centeringWeightPerC > 0.0
-            ? cfg.centeringWeightPerC
-            : 0.0;
-    const double inv_h = 1.0 / std::max(step_h, 1e-9);
-    kernels::penaltyN(cands, pods, horizon, _ctHist.data(),
-                      _cMaskN.data(), w_mt, cfg.maxTempC, w_band,
-                      band.lowC, band.highC, w_rate, inv_h, step_h,
-                      cfg.maxRateCPerHour, w_center, band.center(),
-                      _cPeA.data(), _cPen.data());
-
     for (int c = 0; c < cands; ++c) {
         const cooling::Regime &candidate = menu.candidates[size_t(c)];
         CandidateScore &cs = out[size_t(c)];
-        const size_t hbase = size_t(c) * size_t(horizon);
-        double pen = _cPen[size_t(c)];
         if (cfg.penalizeHumidity) {
+            const double *rh = _cRh.data() + size_t(c) * size_t(horizon);
             for (int step = 0; step < horizon; ++step) {
-                const double rh = _cRh[hbase + size_t(step)];
-                if (rh > cfg.humidityMaxPercent)
-                    pen += (rh - cfg.humidityMaxPercent) / 5.0;
-                else if (rh < cfg.humidityMinPercent)
-                    pen += (cfg.humidityMinPercent - rh) / 5.0;
+                if (rh[step] > cfg.humidityMaxPercent)
+                    cs.penalty += (rh[step] - cfg.humidityMaxPercent) / 5.0;
+                else if (rh[step] < cfg.humidityMinPercent)
+                    cs.penalty += (cfg.humidityMinPercent - rh[step]) / 5.0;
             }
         }
-        cs.energyKwh =
-            _cPowerW[size_t(c)] * step_h / 1000.0 * double(horizon);
-
         const bool ac_full =
             cfg.penalizeAcFull &&
             candidate.mode == cooling::Mode::AirConditioning &&
             candidate.compressorOn &&
             candidate.compressorSpeed >= 1.0 - 1e-9;
         if (ac_full)
-            pen += double(horizon);
-        cs.penalty = pen;
+            cs.penalty += double(horizon);
         cs.score = cs.penalty;
         if (cfg.energyAware)
             cs.score += cfg.energyWeightPerKwh * cs.energyKwh;

@@ -173,12 +173,13 @@ class CoolingPredictor
      * Score every candidate of @p menu against the shared @p outlook in
      * one batched pass (the lane-batched engine's scoring path).
      *
-     * Algebraically this evaluates exactly what predictScoredInto()
-     * does per candidate, but the linear models are collapsed once per
-     * (candidate, pod) into affine recurrences
-     * `T' = a*T + b*Tprev + c` (the outlook holds outside conditions
-     * fixed, so every non-state feature is rollout-constant) and the
-     * rollout then advances all candidates x pods through flat arrays.
+     * Algebraically this evaluates exactly what predictScoredInto() does
+     * per candidate.  The outlook holds outside conditions fixed, so
+     * every non-state feature is rollout-constant: each transition bank
+     * the menu uses is collapsed once per epoch into per-pod affine
+     * terms `T' = a*T + b*Tprev + c` in which only the candidate's fan
+     * varies, and each candidate then runs one fused pass over its pods
+     * (rollout and temperature penalty in registers, no history array).
      * The reassociation means scores can differ from the scalar path in
      * the last ulps — a near-tie between candidates may resolve the
      * other way, which is why the batched engine carries a tolerance
@@ -231,8 +232,9 @@ class CoolingPredictor
         /**
          * The same models flattened for the batched scorer: tempW holds
          * the temperature weights transposed (feature-major,
-         * [feature * pods + pod]) so the per-pod collapse kernel reads
-         * contiguous lanes, and humW the humidity weights.  Persistence
+         * [feature * temp.size() + pod], so the row stride is the
+         * model's pod count, not the state's) so the per-pod collapse
+         * kernel reads contiguous lanes, and humW the humidity weights.  Persistence
          * (null) entries are encoded as identity rows (weight 1 on the
          * inside-state feature) so the collapse runs branch-free.
          */
@@ -255,28 +257,15 @@ class CoolingPredictor
     mutable std::vector<double> _temp;
     mutable std::vector<double> _tempPrev;
 
-    // Batched-scoring scratch, candidate-major ([cand*pods+pod],
-    // [cand*horizon+step], or [cand]); sized on first use, reused per
-    // epoch.
-    mutable std::vector<double> _ctA0, _ctB0, _ctC0;  ///< step-0 affine
-    mutable std::vector<double> _ctA1, _ctB1, _ctC1;  ///< later steps
-    mutable std::vector<double> _ctT, _ctTPrev;       ///< rollout state
-    mutable std::vector<double> _ctHist;              ///< temps per step
-    mutable std::vector<double> _ctTmpA, _ctTmpB, _ctTmpC;  ///< blend
-    mutable std::vector<double> _chAlpha0, _chBeta0;  ///< humidity, step 0
-    mutable std::vector<double> _chAlpha1, _chBeta1;
-    mutable std::vector<double> _chHist;              ///< humidity per step
-    mutable std::vector<double> _cAvgT, _cRh;         ///< per-step RH
-    mutable std::vector<double> _cPowerW;             ///< steady power
-    mutable std::vector<double> _cPf;                 ///< pod power frac
-    mutable std::vector<double> _cMask;               ///< active-pod mask
-    mutable std::vector<double> _cMaskN;              ///< mask tiled to n
-    mutable std::vector<double> _cPeA;                ///< per-lane penalty
-    mutable std::vector<double> _cPen;                ///< penalty per cand
-    // Per-candidate collapse inputs for the fused menu kernel.
-    mutable std::vector<double> _cFan, _cOutC, _cOutPrev0, _cFanPrev0,
-        _cCandFan;
-    mutable std::vector<const double *> _cBankFirst, _cBankRest;
+    // Batched-scoring scratch, sized once per (menu, padded pods)
+    // shape: the collapsed banks ([slot][row][pod]), the padded pod
+    // inputs (temps, previous temps, power fractions, mask), the fused
+    // kernel's lane sums, and per-(candidate, step) cold-aisle averages,
+    // absolute humidity and RH ([cand * horizon + step]).
+    mutable std::vector<double> _cBanks;
+    mutable std::vector<double> _cPods;
+    mutable std::vector<double> _cLaneSum;
+    mutable std::vector<double> _cAvgT, _cAbsH, _cRh;
 
     mutable std::vector<ResolvedModels> _resolveCache;
     mutable uint64_t _resolveRevision = 0;

@@ -2,10 +2,11 @@
  * @file
  * Batched-scorer kernels.  This TU is compiled with
  * COOLAIR_KERNEL_OPTIONS (see the top-level CMakeLists.txt): fast-math
- * and the native ISA, so GCC vectorizes the pod/lane loops and may
+ * and the native ISA, so GCC vectorizes the pod loops and may
  * reassociate reductions — covered by the batched path's tolerance
  * contract (DESIGN.md §10).  Keep the loops free of per-element
- * branches; express conditionals as max()/mask terms.
+ * branches; express conditionals as compare-selects (not std::fmax,
+ * which blocks vectorization without fast-math).
  */
 
 #include "core/predictor_kernels.hpp"
@@ -17,144 +18,131 @@ namespace core {
 namespace kernels {
 
 void
-collapseAffineN(int pods, const double *__restrict WT, double fan,
-                double out_c, double out_prev, double fan_prev, double dc_u,
-                const double *__restrict pf, double *__restrict A,
-                double *__restrict B, double *__restrict C)
+collapseBankN(int pods, int stride, const double *__restrict WT,
+              double out_c, double out_prev, double fan_prev,
+              double fan_prev_slope, double dc_u,
+              const double *__restrict pf, int pods8,
+              double *__restrict bank)
 {
     // TempFeatures order: {1, insideC, insidePrevC, outsideC,
     // outsidePrevC, fan, fanPrev, dcUtil, fan*insideC, fan*outsideC,
-    // podPowerFraction}.  Terms 1 and 8 fold into a, 2 into b, the rest
-    // into the constant c.
-    const int64_t P = pods;
-    const double fan_out = fan * out_c;
+    // podPowerFraction}.  Term 1 gives a and 8 its fan slope, 2 gives b,
+    // 5, 9 and the fan-prev slope the constant's fan slope, the rest its
+    // fan-free part.
+    const int64_t S = stride;
+    const int64_t P = pods8;
     const double *w0 = WT;
-    const double *w1 = WT + P;
-    const double *w2 = WT + 2 * P;
-    const double *w3 = WT + 3 * P;
-    const double *w4 = WT + 4 * P;
-    const double *w5 = WT + 5 * P;
-    const double *w6 = WT + 6 * P;
-    const double *w7 = WT + 7 * P;
-    const double *w8 = WT + 8 * P;
-    const double *w9 = WT + 9 * P;
-    const double *w10 = WT + 10 * P;
-    for (int64_t p = 0; p < P; ++p) {
-        A[p] = w1[p] + w8[p] * fan;
-        B[p] = w2[p];
-        C[p] = w0[p] + w3[p] * out_c + w4[p] * out_prev + w5[p] * fan +
-               w6[p] * fan_prev + w7[p] * dc_u + w9[p] * fan_out +
-               w10[p] * pf[p];
+    const double *w1 = WT + S;
+    const double *w2 = WT + 2 * S;
+    const double *w3 = WT + 3 * S;
+    const double *w4 = WT + 4 * S;
+    const double *w5 = WT + 5 * S;
+    const double *w6 = WT + 6 * S;
+    const double *w7 = WT + 7 * S;
+    const double *w8 = WT + 8 * S;
+    const double *w9 = WT + 9 * S;
+    const double *w10 = WT + 10 * S;
+    double *a = bank;
+    double *a_fan = bank + P;
+    double *b = bank + 2 * P;
+    double *c = bank + 3 * P;
+    double *c_fan = bank + 4 * P;
+    for (int64_t p = 0; p < pods; ++p) {
+        a[p] = w1[p];
+        a_fan[p] = w8[p];
+        b[p] = w2[p];
+        c[p] = w0[p] + w3[p] * out_c + w4[p] * out_prev + w6[p] * fan_prev +
+               w7[p] * dc_u + w10[p] * pf[p];
+        c_fan[p] = w5[p] + w6[p] * fan_prev_slope + w9[p] * out_c;
     }
+    for (int64_t p = pods; p < P; ++p)
+        a[p] = a_fan[p] = b[p] = c[p] = c_fan[p] = 0.0;
 }
 
-void
-collapseMenuN(int cands, int pods, const double *const *WT,
-              const double *__restrict fan, const double *__restrict out_c,
-              const double *__restrict out_prev,
-              const double *__restrict fan_prev, double dc_u,
-              const double *__restrict pf, double *__restrict A,
-              double *__restrict B, double *__restrict C)
+namespace {
+
+/** Pod @p k's affine map: banks @p on / @p off blended by @p s. */
+inline void
+affineAt(const double *__restrict on, const double *__restrict off,
+         int64_t P, int64_t k, double s, double fan, double &a, double &b,
+         double &c)
 {
-    for (int c = 0; c < cands; ++c) {
-        const int64_t base = int64_t(c) * pods;
-        collapseAffineN(pods, WT[c], fan[c], out_c[c], out_prev[c],
-                        fan_prev[c], dc_u, pf, A + base, B + base,
-                        C + base);
-    }
+    const double a_on = on[k] + on[P + k] * fan;
+    const double a_off = off[k] + off[P + k] * fan;
+    const double c_on = on[3 * P + k] + on[4 * P + k] * fan;
+    const double c_off = off[3 * P + k] + off[4 * P + k] * fan;
+    a = a_off + (a_on - a_off) * s;
+    b = off[2 * P + k] + (on[2 * P + k] - off[2 * P + k]) * s;
+    c = c_off + (c_on - c_off) * s;
 }
 
-void
-blendAffineN(int pods, const double *__restrict offA,
-             const double *__restrict offB, const double *__restrict offC,
-             double s, double *__restrict A, double *__restrict B,
-             double *__restrict C)
+/** One step's temperature terms for a pod at @p x, @p prev before. */
+inline double
+stepTerm(const TempPenalty &w, double x, double prev)
 {
-    for (int p = 0; p < pods; ++p) {
-        A[p] = offA[p] + (A[p] - offA[p]) * s;
-        B[p] = offB[p] + (B[p] - offB[p]) * s;
-        C[p] = offC[p] + (C[p] - offC[p]) * s;
-    }
+    const double over = x - w.maxTempC;
+    const double below = w.bandLowC - x;
+    const double above = x - w.bandHighC;
+    const double excess =
+        std::fabs(x - prev) * w.invStepH - w.maxRateCPerHour;
+    double term = w.wMaxTemp * (over > 0.0 ? over : 0.0);
+    term += w.wBand * (below > 0.0 ? below : above > 0.0 ? above : 0.0);
+    term += w.wRate * (excess > 0.0 ? excess : 0.0) * w.stepH;
+    return term;
 }
 
-void
-rolloutN(int64_t n, int horizon, const double *__restrict A0,
-         const double *__restrict B0, const double *__restrict C0,
-         const double *__restrict A1, const double *__restrict B1,
-         const double *__restrict C1, double *__restrict T,
-         double *__restrict Tprev, double *__restrict hist)
+} // anonymous namespace
+
+double
+rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &m,
+                const double *__restrict T0, const double *__restrict Tprev0,
+                const double *__restrict mask, const TempPenalty &w,
+                double inv_pods, double *__restrict laneSum,
+                double *__restrict podAvg)
 {
-    for (int step = 0; step < horizon; ++step) {
-        const bool first = step == 0;
-        const double *__restrict A = first ? A0 : A1;
-        const double *__restrict B = first ? B0 : B1;
-        const double *__restrict C = first ? C0 : C1;
-        double *__restrict out = hist + (int64_t(step) + 1) * n;
-        for (int64_t i = 0; i < n; ++i) {
-            const double t = T[i];
-            const double tn = A[i] * t + B[i] * Tprev[i] + C[i];
-            Tprev[i] = t;
-            T[i] = tn;
-            out[i] = tn;
+    constexpr int W = kPodBlock;
+    const int64_t P = pods8;
+    for (int64_t i = 0; i < int64_t(horizon) * W; ++i)
+        laneSum[i] = 0.0;
+    double pen[W] = {};
+    for (int64_t blk = 0; blk < P; blk += W) {
+        double a0[W], b0[W], c0[W], a1[W], b1[W], c1[W], t[W], tp[W];
+        for (int i = 0; i < W; ++i) {
+            affineAt(m.firstOn, m.firstOff, P, blk + i, m.s, m.fan, a0[i],
+                     b0[i], c0[i]);
+            affineAt(m.restOn, m.restOff, P, blk + i, m.s, m.fan, a1[i],
+                     b1[i], c1[i]);
+            t[i] = T0[blk + i];
+            tp[i] = Tprev0[blk + i];
         }
+        const double *mk = mask + blk;
+        auto advance = [&](const double *a, const double *b, const double *c,
+                           double *sum) {
+            for (int i = 0; i < W; ++i) {
+                const double x = a[i] * t[i] + b[i] * tp[i] + c[i];
+                pen[i] += mk[i] * stepTerm(w, x, t[i]);
+                tp[i] = t[i];
+                t[i] = x;
+                sum[i] += x;
+            }
+        };
+        advance(a0, b0, c0, laneSum);
+        for (int step = 1; step < horizon; ++step)
+            advance(a1, b1, c1, laneSum + int64_t(step) * W);
+        for (int i = 0; i < W; ++i)
+            pen[i] += w.wCenter * mk[i] * std::fabs(t[i] - w.centerC);
     }
-}
-
-void
-podAvgN(int cands, int pods, int horizon, const double *__restrict hist,
-        double *__restrict avg)
-{
-    const int64_t n = int64_t(cands) * pods;
-    const double inv = 1.0 / double(pods);
     for (int step = 0; step < horizon; ++step) {
-        const double *row = hist + (int64_t(step) + 1) * n;
-        for (int c = 0; c < cands; ++c) {
-            const double *t = row + int64_t(c) * pods;
-            double sum = 0.0;
-            for (int p = 0; p < pods; ++p)
-                sum += t[p];
-            avg[int64_t(c) * horizon + step] = sum * inv;
-        }
-    }
-}
-
-void
-penaltyN(int cands, int pods, int horizon, const double *__restrict hist,
-         const double *__restrict maskN, double w_mt, double max_t,
-         double w_band, double band_lo, double band_hi, double w_rate,
-         double inv_h, double step_h, double max_rate, double w_center,
-         double center, double *__restrict peA, double *__restrict pen)
-{
-    // Element-wise accumulation over the full cands x pods width: every
-    // loop is a single flat streaming pass with no per-row horizontal
-    // reductions (the per-candidate sums happen once at the end, over
-    // pods values each).
-    const int64_t n = int64_t(cands) * pods;
-    for (int64_t i = 0; i < n; ++i)
-        peA[i] = 0.0;
-    for (int step = 0; step < horizon; ++step) {
-        const double *t = hist + (int64_t(step) + 1) * n;
-        const double *prev = hist + int64_t(step) * n;
-        for (int64_t i = 0; i < n; ++i) {
-            const double x = t[i];
-            double term = w_mt * std::fmax(x - max_t, 0.0);
-            term += w_band * (std::fmax(band_lo - x, 0.0) +
-                              std::fmax(x - band_hi, 0.0));
-            const double rate = std::fabs(x - prev[i]) * inv_h;
-            term += w_rate * std::fmax(rate - max_rate, 0.0) * step_h;
-            peA[i] += maskN[i] * term;
-        }
-    }
-    const double *last = hist + int64_t(horizon) * n;
-    for (int64_t i = 0; i < n; ++i)
-        peA[i] += w_center * maskN[i] * std::fabs(last[i] - center);
-    for (int c = 0; c < cands; ++c) {
-        const double *e = peA + int64_t(c) * pods;
+        const double *sum = laneSum + int64_t(step) * W;
         double acc = 0.0;
-        for (int p = 0; p < pods; ++p)
-            acc += e[p];
-        pen[c] = acc;
+        for (int i = 0; i < W; ++i)
+            acc += sum[i];
+        podAvg[step] = acc * inv_pods;
     }
+    double total = 0.0;
+    for (int i = 0; i < W; ++i)
+        total += pen[i];
+    return total;
 }
 
 } // namespace kernels

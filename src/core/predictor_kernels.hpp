@@ -10,13 +10,13 @@
  * never call these from the scalar oracle path.
  *
  * Layout conventions (matching the scorer's scratch):
- *   - "banks" are feature-major transposed weight tables
- *     [feature * pods + pod] so the per-pod collapse loops read
- *     contiguous lanes;
- *   - rollout state is candidate-major [cand * pods + pod] (= one flat
- *     array of n = cands * pods recurrences);
- *   - the temperature history holds horizon+1 rows of n: row 0 is the
- *     tiled current temps, row s+1 the prediction for step s.
+ *   - pods are padded to whole blocks of kPodBlock doubles (one 512-bit
+ *     vector); padding pods have zero coefficients, zero temperatures
+ *     and a zero mask, so they stay zero and add nothing;
+ *   - a collapsed bank is kBankRows rows of the padded pod count:
+ *     a, a's fan slope, b, the constant's fan-free part and its fan
+ *     slope, so one candidate's affine map `T' = a*T + b*Tprev + c` is
+ *     `a = row0 + row1*fan`, `b = row2`, `c = row3 + row4*fan`.
  */
 
 #include <cstdint>
@@ -25,74 +25,80 @@ namespace coolair {
 namespace core {
 namespace kernels {
 
-/**
- * Collapse one transposed temperature-weight bank into per-pod affine
- * coefficients `T' = a*T + b*Tprev + c`, holding every non-state
- * feature at its rollout-constant value.  @p WT is feature-major
- * (TempFeatures::kCount rows of @p pods), @p pf the per-pod power
- * fractions; outputs are @p pods wide.
- */
-void collapseAffineN(int pods, const double *WT, double fan, double out_c,
-                     double out_prev, double fan_prev, double dc_u,
-                     const double *pf, double *A, double *B, double *C);
+/** Pods per block: one 512-bit vector of doubles. */
+inline constexpr int kPodBlock = 8;
+
+/** @p pods rounded up to whole blocks. */
+constexpr int
+paddedPods(int pods)
+{
+    return (pods + kPodBlock - 1) / kPodBlock * kPodBlock;
+}
+
+/** Rows of a collapsed bank (see the file comment). */
+inline constexpr int kBankRows = 5;
 
 /**
- * collapseAffineN over a whole candidate menu in one call: candidate c
- * reads bank WT[c] with its per-candidate fan / outside / fan-prev
- * values and writes pods-wide coefficient blocks at c * pods.  One
- * kernel call per epoch instead of one per candidate.
+ * Collapse one temperature-weight bank into its fan-free affine terms,
+ * holding every non-state feature at its rollout-constant value.  @p WT
+ * is feature-major (TempFeatures::kCount rows of @p stride, the model's
+ * pod count); the first @p pods pods are read and @p bank receives
+ * kBankRows rows of @p pods8, zero past @p pods.  The fan-prev feature
+ * enters as `fan_prev + fan_prev_slope * fan`: the first step's map
+ * passes the observed fan and 0, the steady map 0 and 1 (the candidate's
+ * own fan).  @p pf is the per-pod power fraction.
  */
-void collapseMenuN(int cands, int pods, const double *const *WT,
-                   const double *fan, const double *out_c,
-                   const double *out_prev, const double *fan_prev,
-                   double dc_u, const double *pf, double *A, double *B,
-                   double *C);
+void collapseBankN(int pods, int stride, const double *WT, double out_c,
+                   double out_prev, double fan_prev, double fan_prev_slope,
+                   double dc_u, const double *pf, int pods8, double *bank);
+
+/** The §3.2 temperature penalty terms' weights and limits. */
+struct TempPenalty
+{
+    double wMaxTemp = 0.0;  ///< 2 (one unit per 0.5 °C) or 0 (off)
+    double maxTempC = 0.0;
+    double wBand = 0.0;     ///< 2 or 0
+    double bandLowC = 0.0;
+    double bandHighC = 0.0;
+    double wRate = 0.0;     ///< 1 or 0
+    double invStepH = 0.0;  ///< 1 / max(step hours, 1e-9)
+    double stepH = 0.0;
+    double maxRateCPerHour = 0.0;
+    double wCenter = 0.0;   ///< final-step centering weight, 0 = off
+    double centerC = 0.0;
+};
 
 /**
- * In-place blend of affine coefficients toward a compressor-off bank:
- * X[i] = offX[i] + (X[i] - offX[i]) * s (the interpolated-AC model;
- * affine maps blend coefficient-wise exactly like outputs).
+ * One candidate's collapsed maps: compressor-on and -off banks for the
+ * first step and the steady steps, blended as `off + (on - off) * s`
+ * (the interpolated-AC model; pass the same bank twice otherwise), and
+ * the candidate's fan.
  */
-void blendAffineN(int pods, const double *offA, const double *offB,
-                  const double *offC, double s, double *A, double *B,
-                  double *C);
+struct CandidateMaps
+{
+    const double *firstOn = nullptr;
+    const double *firstOff = nullptr;
+    const double *restOn = nullptr;
+    const double *restOff = nullptr;
+    double s = 0.0;
+    double fan = 0.0;
+};
 
 /**
- * Advance all n recurrences @p horizon steps, using the step-0 banks
- * (A0/B0/C0) for the first step and the steady banks after.  @p T and
- * @p Tprev hold the current and one-step-back temps on entry and are
- * clobbered; rows 1..horizon of @p hist receive the predictions (row 0
- * is the caller-tiled current temps and is read as the step-0 rate
- * reference).
+ * Roll one candidate out @p horizon steps from the padded current and
+ * previous temperatures @p T0 / @p Tprev0 and return its temperature
+ * penalty: the masked max-temp, band and rate terms of every step plus
+ * the final-step centering pull (each term is zero exactly when the
+ * scalar branch would not fire, so masking equals iterating the active
+ * pods).  Pods run in blocks of kPodBlock whose temperatures stay in
+ * registers through the horizon (@p horizon >= 1).  @p podAvg[s]
+ * receives step s's pod average (the pod sum times @p inv_pods), and
+ * @p laneSum (horizon * kPodBlock) is scratch.
  */
-void rolloutN(int64_t n, int horizon, const double *A0, const double *B0,
-              const double *C0, const double *A1, const double *B1,
-              const double *C1, double *T, double *Tprev, double *hist);
-
-/**
- * Per-(candidate, step) cold-aisle averages over pods: avg[c * horizon
- * + s] = mean of hist row s+1, candidate block c.  @p pods must be > 0.
- */
-void podAvgN(int cands, int pods, int horizon, const double *hist,
-             double *avg);
-
-/**
- * The per-step temperature penalty terms of trajectoryPenalty(),
- * accumulated per candidate: max-temp and band violations (in 0.5 °C
- * units via w_mt / w_band = 2 or 0), the rate-of-change excess, and the
- * final-step centering pull.  @p maskN is the active-pod mask tiled to
- * all n = cands * pods lanes (1.0 active, 0.0 not) — each max()/mask
- * term is zero exactly when the scalar branch would not fire, so
- * masking keeps the sum equal to iterating the active subset.  The
- * per-step sweep accumulates element-wise into the n-wide scratch
- * @p peA (no per-row horizontal reductions); the per-candidate pod sums
- * land in @p pen.
- */
-void penaltyN(int cands, int pods, int horizon, const double *hist,
-              const double *maskN, double w_mt, double max_t,
-              double w_band, double band_lo, double band_hi, double w_rate,
-              double inv_h, double step_h, double max_rate,
-              double w_center, double center, double *peA, double *pen);
+double rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &maps,
+                       const double *T0, const double *Tprev0,
+                       const double *mask, const TempPenalty &w,
+                       double inv_pods, double *laneSum, double *podAvg);
 
 } // namespace kernels
 } // namespace core

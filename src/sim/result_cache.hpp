@@ -44,7 +44,7 @@ namespace sim {
  * controllers, workloads, metric definitions...), so stale cached
  * results are re-run instead of served.
  */
-inline constexpr const char kResultCacheSalt[] = "coolair-sim-3";
+inline constexpr const char kResultCacheSalt[] = "coolair-sim-4";
 
 /** True when @p spec asks for caching and its results are servable
     from disk (cache_dir set, result_cache on, no trace outputs). */

@@ -472,3 +472,18 @@ TEST(BatchedScorer, MatchesScalarRolloutsOnTestModel)
     const PinReport r = pinBatchedToScalar(m, 2, kStates, 31);
     expectPinned(r, kStates);
 }
+
+TEST(BatchedScorer, ReadsBanksAtTheModelsPodStride)
+{
+    // A state with fewer pods than the model: the resolved weight banks
+    // keep the model's pod count as their row stride.
+    constexpr int kStates = 700;
+    const CoolingModel &model = sim::sharedBundle().model;
+    for (int pods = 1; pods < model.config().numPods; ++pods) {
+        SCOPED_TRACE(std::to_string(pods) + " of " +
+                     std::to_string(model.config().numPods) + " pods");
+        const PinReport r =
+            pinBatchedToScalar(model, pods, kStates, 41 + uint64_t(pods));
+        expectPinned(r, kStates);
+    }
+}

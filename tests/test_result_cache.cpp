@@ -394,11 +394,11 @@ TEST_F(ResultCacheTest, StoreKeysOfBothIdsArePinned)
 {
     // Pinned under the shipped salt and format version: bumping either
     // must fail here, and re-recording these keys is part of the bump.
-    EXPECT_STREQ("coolair-sim-3", kResultCacheSalt);
+    EXPECT_STREQ("coolair-sim-4", kResultCacheSalt);
     EXPECT_EQ(1, kResultFormatVersion);
     store::ResultStore st = openResultStore(dir);
-    EXPECT_EQ("8c2bc33dcf3be53f247d3933cc2ab31e", st.keyFor(kNamedSiteId));
-    EXPECT_EQ("f95950b41376e164d64160ca409e5171", st.keyFor(kWorldGridId));
+    EXPECT_EQ("8dfc8dbc132d74679d8a5ca948c5e677", st.keyFor(kNamedSiteId));
+    EXPECT_EQ("8d67058862ad38030e25261394789058", st.keyFor(kWorldGridId));
 }
 
 TEST(StoreIdentity, AwkwardResultTextAndCrcArePinned)
