@@ -126,6 +126,17 @@ BM_PredictorRollout(benchmark::State &state)
 }
 BENCHMARK(BM_PredictorRollout)->Arg(5)->Arg(8);
 
+/** The epoch state both optimizer benches decide from. */
+core::PredictorState
+optimizerBenchState()
+{
+    core::PredictorState st;
+    st.podTempC.assign(8, 29.0);
+    st.podTempPrevC.assign(8, 28.8);
+    st.podPowerFraction.assign(8, 0.6);
+    return st;
+}
+
 void
 BM_OptimizerChoose(benchmark::State &state)
 {
@@ -135,10 +146,7 @@ BM_OptimizerChoose(benchmark::State &state)
     core::CoolingOptimizer opt(cooling::RegimeMenu::smooth(), ucfg);
     core::TemperatureBand band = core::TemperatureBand::fixed(25.0, 30.0);
 
-    core::PredictorState st;
-    st.podTempC.assign(8, 29.0);
-    st.podTempPrevC.assign(8, 28.8);
-    st.podPowerFraction.assign(8, 0.6);
+    const core::PredictorState st = optimizerBenchState();
     std::vector<int> pods{0, 1, 2, 3, 4, 5, 6, 7};
     for (auto _ : state) {
         auto d = opt.choose(predictor, st, pods, band);
@@ -146,6 +154,29 @@ BM_OptimizerChoose(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OptimizerChoose);
+
+/** The same decision through the batched candidate scorer, outlook
+    included (the lane-batched engine materializes one per epoch). */
+void
+BM_OptimizerChooseBatched(benchmark::State &state)
+{
+    const model::LearnedBundle &bundle = sim::sharedBundle();
+    core::CoolingPredictor predictor(&bundle.model, 8);
+    core::UtilityConfig ucfg;
+    core::CoolingOptimizer opt(cooling::RegimeMenu::smooth(), ucfg);
+    core::TemperatureBand band = core::TemperatureBand::fixed(25.0, 30.0);
+
+    const core::PredictorState st = optimizerBenchState();
+    std::vector<int> pods{0, 1, 2, 3, 4, 5, 6, 7};
+    core::EpochOutlook outlook;
+    for (auto _ : state) {
+        outlook.materialize(st, predictor.horizonSteps(),
+                            bundle.model.config().evapEffectiveness);
+        auto d = opt.chooseBatched(predictor, st, outlook, pods, band);
+        benchmark::DoNotOptimize(d.score);
+    }
+}
+BENCHMARK(BM_OptimizerChooseBatched);
 
 void
 BM_RidgeFit(benchmark::State &state)
