@@ -184,16 +184,15 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
     constexpr int kOffRest = 2 * kCls;
     const int pods8 = kernels::paddedPods(pods);
     const size_t P = size_t(pods8);
-    const size_t nh = size_t(cands) * size_t(horizon);
-    if (_cAvgT.size() != nh || _cPods.size() != 4 * P) {
+    const size_t C = size_t(cands);
+    if (_cCand.size() != 6 * C || _cPods.size() != 4 * P) {
         _cBanks.resize(size_t(kOffRest + 1) * kBankRows * P);
         _cPods.resize(4 * P);
         _cLaneSum.resize(size_t(horizon) * kernels::kPodBlock);
-        _cAvgT.resize(nh);
-        _cAbsH.resize(nh);
-        _cRh.resize(nh);
+        _cAvgT.resize(size_t(horizon) * C);
+        _cCand.resize(6 * C);
     }
-    out.resize(size_t(cands));
+    out.resize(C);
 
     // Padded pod inputs; the padding stays zero (mask included).
     double *t0 = _cPods.data();
@@ -262,6 +261,12 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
     tw.centerC = band.center();
     const double inv_pods = pods > 0 ? 1.0 / pods : 0.0;
 
+    // Per-candidate rows: temperature penalty, the humidity maps
+    // (step-0 alpha and beta, steady alpha and beta), humidity scratch.
+    double *pen = _cCand.data();
+    double *hum = pen + C;
+    double *h = pen + 5 * C;
+
     // --- One fused pass per candidate: rollout and temperature penalty
     // in registers, writing only the per-step pod averages RH needs.
     for (int c = 0; c < cands; ++c) {
@@ -292,16 +297,16 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
         maps.restOn = coef(rest_on);
         maps.restOff = coef(rest_off);
 
-        double *avg_t = _cAvgT.data() + size_t(c) * size_t(horizon);
-        out[size_t(c)].penalty = kernels::rolloutPenaltyN(
-            pods8, horizon, maps, t0, tprev0, mask, tw, inv_pods,
-            _cLaneSum.data(), avg_t);
+        double *avg_t = _cAvgT.data() + c;
+        pen[c] = kernels::rolloutPenaltyN(pods8, horizon, maps, t0, tprev0,
+                                          mask, tw, inv_pods,
+                                          _cLaneSum.data(), avg_t, cands);
         if (pods == 0)
-            std::fill(avg_t, avg_t + horizon, 20.0);
+            for (int step = 0; step < horizon; ++step)
+                avg_t[size_t(step) * C] = 20.0;
 
         // Humidity: h' = alpha*h + beta, constant across the horizon
         // except the step-0 transition model.
-        double alpha[2], beta[2];
         for (int k = 0; k < 2; ++k) {
             const auto &on = res[2 * k]->humW;
             const auto &off = res[2 * k + 1]->humW;
@@ -313,36 +318,25 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
                                  on[3] * fan;
             const double be_off = off[0] + (off[2] + off[5] * fan) * oa +
                                   off[3] * fan;
-            alpha[k] = al_off + (al_on - al_off) * maps.s;
-            beta[k] = be_off + (be_on - be_off) * maps.s;
-        }
-        double *abs_h = _cAbsH.data() + size_t(c) * size_t(horizon);
-        double h = state.coldAbsHumidity;
-        for (int step = 0; step < horizon; ++step) {
-            const int k = step == 0 ? 0 : 1;
-            h = alpha[k] * h + beta[k];
-            abs_h[step] = h;
+            hum[size_t(2 * k) * C + size_t(c)] =
+                al_off + (al_on - al_off) * maps.s;
+            hum[size_t(2 * k + 1) * C + size_t(c)] =
+                be_off + (be_on - be_off) * maps.s;
         }
         out[size_t(c)].energyKwh = _model->predictCoolingPower(candidate) *
                                    step_h / 1000.0 * double(horizon);
     }
 
-    // --- Humidity, energy, AC-full and switch terms in one pass over
-    // candidates x steps, after one batched RH conversion.
-    physics::relativeHumidityN(_cAvgT.data(), _cAbsH.data(), _cRh.data(),
-                               int(nh));
+    // --- Humidity terms in one pass over candidates x steps, then the
+    // AC-full, energy and switch terms per candidate.
+    if (cfg.penalizeHumidity)
+        kernels::humidityPenaltyN(cands, horizon, hum, state.coldAbsHumidity,
+                                  _cAvgT.data(), cfg.humidityMaxPercent,
+                                  cfg.humidityMinPercent, h, pen);
     for (int c = 0; c < cands; ++c) {
         const cooling::Regime &candidate = menu.candidates[size_t(c)];
         CandidateScore &cs = out[size_t(c)];
-        if (cfg.penalizeHumidity) {
-            const double *rh = _cRh.data() + size_t(c) * size_t(horizon);
-            for (int step = 0; step < horizon; ++step) {
-                if (rh[step] > cfg.humidityMaxPercent)
-                    cs.penalty += (rh[step] - cfg.humidityMaxPercent) / 5.0;
-                else if (rh[step] < cfg.humidityMinPercent)
-                    cs.penalty += (cfg.humidityMinPercent - rh[step]) / 5.0;
-            }
-        }
+        cs.penalty = pen[c];
         const bool ac_full =
             cfg.penalizeAcFull &&
             candidate.mode == cooling::Mode::AirConditioning &&

@@ -260,12 +260,14 @@ class CoolingPredictor
     // Batched-scoring scratch, sized once per (menu, padded pods)
     // shape: the collapsed banks ([slot][row][pod]), the padded pod
     // inputs (temps, previous temps, power fractions, mask), the fused
-    // kernel's lane sums, and per-(candidate, step) cold-aisle averages,
-    // absolute humidity and RH ([cand * horizon + step]).
+    // kernel's lane sums, the per-step cold-aisle averages
+    // ([step * cands + cand]), and per-candidate rows (penalty, humidity
+    // maps, humidity).
     mutable std::vector<double> _cBanks;
     mutable std::vector<double> _cPods;
     mutable std::vector<double> _cLaneSum;
-    mutable std::vector<double> _cAvgT, _cAbsH, _cRh;
+    mutable std::vector<double> _cAvgT;
+    mutable std::vector<double> _cCand;
 
     mutable std::vector<ResolvedModels> _resolveCache;
     mutable uint64_t _resolveRevision = 0;

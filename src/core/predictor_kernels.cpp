@@ -13,6 +13,8 @@
 
 #include <cmath>
 
+#include "physics/psychrometrics.hpp"
+
 namespace coolair {
 namespace core {
 namespace kernels {
@@ -98,7 +100,7 @@ rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &m,
                 const double *__restrict T0, const double *__restrict Tprev0,
                 const double *__restrict mask, const TempPenalty &w,
                 double inv_pods, double *__restrict laneSum,
-                double *__restrict podAvg)
+                double *__restrict podAvg, int64_t avg_stride)
 {
     constexpr int W = kPodBlock;
     const int64_t P = pods8;
@@ -137,12 +139,37 @@ rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &m,
         double acc = 0.0;
         for (int i = 0; i < W; ++i)
             acc += sum[i];
-        podAvg[step] = acc * inv_pods;
+        podAvg[step * avg_stride] = acc * inv_pods;
     }
     double total = 0.0;
     for (int i = 0; i < W; ++i)
         total += pen[i];
     return total;
+}
+
+void
+humidityPenaltyN(int cands, int horizon, const double *__restrict hum,
+                 double h0, const double *__restrict avg, double max_rh,
+                 double min_rh, double *__restrict h,
+                 double *__restrict penalty)
+{
+    const int64_t C = cands;
+    for (int64_t c = 0; c < C; ++c)
+        h[c] = h0;
+    for (int step = 0; step < horizon; ++step) {
+        const double *alpha = hum + (step == 0 ? 0 : 2 * C);
+        const double *beta = alpha + C;
+        const double *t = avg + int64_t(step) * C;
+        for (int64_t c = 0; c < C; ++c) {
+            h[c] = alpha[c] * h[c] + beta[c];
+            const double rh = physics::relativeHumidityAt(
+                t[c], h[c], physics::magnusSvp(t[c]));
+            const double over = rh - max_rh;
+            const double under = min_rh - rh;
+            penalty[c] +=
+                (over > 0.0 ? over : under > 0.0 ? under : 0.0) / 5.0;
+        }
+    }
 }
 
 } // namespace kernels

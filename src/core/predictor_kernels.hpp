@@ -91,14 +91,29 @@ struct CandidateMaps
  * the final-step centering pull (each term is zero exactly when the
  * scalar branch would not fire, so masking equals iterating the active
  * pods).  Pods run in blocks of kPodBlock whose temperatures stay in
- * registers through the horizon (@p horizon >= 1).  @p podAvg[s]
- * receives step s's pod average (the pod sum times @p inv_pods), and
- * @p laneSum (horizon * kPodBlock) is scratch.
+ * registers through the horizon (@p horizon >= 1).
+ * @p podAvg[s * avg_stride] receives step s's pod average (the pod sum
+ * times @p inv_pods), and @p laneSum (horizon * kPodBlock) is scratch.
  */
 double rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &maps,
                        const double *T0, const double *Tprev0,
                        const double *mask, const TempPenalty &w,
-                       double inv_pods, double *laneSum, double *podAvg);
+                       double inv_pods, double *laneSum, double *podAvg,
+                       int64_t avg_stride);
+
+/**
+ * The humidity terms of @p cands candidates in one pass over candidates
+ * x steps, vectorized across candidates.  Each candidate's absolute
+ * humidity follows `h' = alpha*h + beta` from @p h0; @p hum holds four
+ * rows of @p cands: the step-0 alpha and beta, then the steady map's.
+ * Its RH is taken at the step's pod average @p avg
+ * ([step * cands + cand]), and the excess over @p max_rh or under
+ * @p min_rh, in units of 5 %, is added to @p penalty.  @p h (@p cands)
+ * is scratch.
+ */
+void humidityPenaltyN(int cands, int horizon, const double *hum, double h0,
+                      const double *avg, double max_rh, double min_rh,
+                      double *h, double *penalty);
 
 } // namespace kernels
 } // namespace core

@@ -147,10 +147,6 @@ double heatAirMass(double temp_c, double volume_m3, double heat_joules);
 /** Lane-wise saturationVaporPressure: out[i] = svp(temp_c[i]). */
 void saturationVaporPressureN(const double *temp_c, double *out, int n);
 
-/** Lane-wise relativeHumidity: out[i] = relHum(temp_c[i], abs[i]). */
-void relativeHumidityN(const double *temp_c, const double *abs_gm3,
-                       double *out, int n);
-
 } // namespace physics
 } // namespace coolair
 

@@ -23,14 +23,5 @@ saturationVaporPressureN(const double *temp_c, double *out, int n)
         out[i] = magnusSvp(temp_c[i]);
 }
 
-void
-relativeHumidityN(const double *temp_c, const double *abs_gm3, double *out,
-                  int n)
-{
-    for (int i = 0; i < n; ++i)
-        out[i] = relativeHumidityAt(temp_c[i], abs_gm3[i],
-                                    magnusSvp(temp_c[i]));
-}
-
 } // namespace physics
 } // namespace coolair
