@@ -5,8 +5,8 @@
  * and the native ISA, so GCC vectorizes the pod loops and may
  * reassociate reductions — covered by the batched path's tolerance
  * contract (DESIGN.md §10).  Keep the loops free of per-element
- * branches; express conditionals as compare-selects (not std::fmax,
- * which blocks vectorization without fast-math).
+ * branches; express conditionals as compare-selects, which vectorize
+ * without fast-math too (a libm max call does not).
  */
 
 #include "core/predictor_kernels.hpp"
