@@ -131,9 +131,9 @@ class CoolAir
     const CoolingOptimizer &optimizer() const { return _optimizer; }
 
     /**
-     * Route candidate scoring through the batched one-pass scorer
-     * (CoolingOptimizer::chooseBatched) instead of per-candidate
-     * rollouts.  Same decisions up to last-ulp score ties; used by the
+     * Route candidate scoring through the lane scorer
+     * (CoolingOptimizer::chooseBatched) instead of the strict rollouts.
+     * Same decisions up to last-ulp score ties; used by the
      * lane-batched engine, whose tolerance contract (DESIGN.md §10)
      * covers the difference.
      */

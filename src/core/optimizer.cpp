@@ -36,8 +36,40 @@ CoolingOptimizer::choose(const CoolingPredictor &predictor,
                          const TemperatureBand &band,
                          Trajectory &traj_scratch) const
 {
+    return select(predictor, state, outlook, activePods, band,
+                  &traj_scratch);
+}
+
+OptimizerDecision
+CoolingOptimizer::chooseBatched(const CoolingPredictor &predictor,
+                                const PredictorState &state,
+                                const EpochOutlook &outlook,
+                                const std::vector<int> &activePods,
+                                const TemperatureBand &band) const
+{
+    predictor.beginLanes(state, outlook, activePods, band, _utility);
+    return select(predictor, state, outlook, activePods, band, nullptr);
+}
+
+OptimizerDecision
+CoolingOptimizer::select(const CoolingPredictor &predictor,
+                         const PredictorState &state,
+                         const EpochOutlook &outlook,
+                         const std::vector<int> &activePods,
+                         const TemperatureBand &band,
+                         Trajectory *traj) const
+{
     ++_stats.epochs;
     _stats.candidates += int64_t(_menu.candidates.size());
+
+    const model::CoolingModel &model = predictor.model();
+    if (_planModel != &model || _planRevision != model.revision() ||
+        _planHorizon != predictor.horizonSteps()) {
+        predictor.planCandidates(_menu, _utility, _plan);
+        _planModel = &model;
+        _planRevision = model.revision();
+        _planHorizon = predictor.horizonSteps();
+    }
 
     OptimizerDecision best;
     bool have_best = false;
@@ -50,90 +82,43 @@ CoolingOptimizer::choose(const CoolingPredictor &predictor,
     sc.band = &band;
     sc.utility = &_utility;
 
-    Trajectory &traj = traj_scratch;
-    for (const auto &candidate : _menu.candidates) {
-        sc.switchTerm = cooling::classify(candidate) != current_cls
-                            ? _utility.switchPenalty
-                            : 0.0;
+    for (size_t c = 0; c < _plan.size(); ++c) {
+        const cooling::Regime &candidate = _menu.candidates[c];
+        const PlannedCandidate &pc = _plan[c];
+        sc.switchTerm =
+            pc.cls != current_cls ? _utility.switchPenalty : 0.0;
         // A candidate only beats (or ties) the incumbent when its score
-        // is below best.score + 1e-9, so rollouts whose score lower
-        // bound reaches that can be abandoned without changing the
-        // decision (see predictScoredInto).
+        // is below best.score + 1e-9, so one whose score provably
+        // reaches that can be dropped without changing the decision.
         sc.abandonAtScore =
             have_best ? best.score + 1e-9
                       : std::numeric_limits<double>::infinity();
-        double penalty = 0.0;
-        if (!predictor.predictScoredInto(state, candidate, outlook, sc,
-                                         traj, penalty))
-            continue;
-        double score = penalty;
+        // The static floor: the score with a zero penalty, in the
+        // score's own association.  The penalty is non-negative and
+        // rounding is monotone, so the floor never exceeds the score.
+        double floor = 0.0;
         if (_utility.energyAware)
-            score += _utility.energyWeightPerKwh * traj.coolingEnergyKwh;
-        score += sc.switchTerm;
-
-        bool better;
-        if (!have_best) {
-            better = true;
-        } else if (score < best.score - 1e-9) {
-            better = true;
-        } else if (score < best.score + 1e-9) {
-            // Tie: prefer the incumbent regime (stability), then the
-            // cheaper candidate.
-            bool cand_incumbent = candidate == state.currentRegime;
-            bool best_incumbent = best.regime == state.currentRegime;
-            if (cand_incumbent && !best_incumbent)
-                better = true;
-            else if (cand_incumbent == best_incumbent &&
-                     traj.coolingEnergyKwh < best.energyKwh - 1e-12)
-                better = true;
-            else
-                better = false;
-        } else {
-            better = false;
+            floor += _utility.energyWeightPerKwh *
+                     (traj ? pc.energyKwh : pc.laneEnergyKwh);
+        floor += sc.switchTerm;
+        if (floor >= sc.abandonAtScore) {
+            predictor.noteScreened();
+            continue;
         }
 
-        if (better) {
-            best.regime = candidate;
-            best.penalty = penalty;
-            best.energyKwh = traj.coolingEnergyKwh;
-            best.score = score;
-            have_best = true;
+        CandidateScore cs;
+        if (traj) {
+            if (!predictor.predictScoredInto(state, candidate, outlook, sc,
+                                             *traj, cs.penalty))
+                continue;
+            cs.energyKwh = traj->coolingEnergyKwh;
+            cs.score = cs.penalty;
+            if (_utility.energyAware)
+                cs.score += _utility.energyWeightPerKwh * cs.energyKwh;
+            cs.score += sc.switchTerm;
+        } else if (!predictor.scoreLane(pc, floor, sc.abandonAtScore, cs)) {
+            continue;
         }
-    }
-    return best;
-}
-
-OptimizerDecision
-CoolingOptimizer::chooseBatched(const CoolingPredictor &predictor,
-                                const PredictorState &state,
-                                const EpochOutlook &outlook,
-                                const std::vector<int> &activePods,
-                                const TemperatureBand &band) const
-{
-    ++_stats.epochs;
-    _stats.candidates += int64_t(_menu.candidates.size());
-
-    const cooling::RegimeClass current_cls =
-        cooling::classify(state.currentRegime);
-    _switchTerms.resize(_menu.candidates.size());
-    for (size_t c = 0; c < _menu.candidates.size(); ++c) {
-        _switchTerms[c] =
-            cooling::classify(_menu.candidates[c]) != current_cls
-                ? _utility.switchPenalty
-                : 0.0;
-    }
-
-    predictor.scoreCandidates(state, _menu, outlook, activePods, band,
-                              _utility, _switchTerms, _scores);
-
-    // Selection replicates choose(): first candidate wins outright,
-    // then strictly-better (1e-9), then the tie window preferring the
-    // incumbent and the cheaper rollout.
-    OptimizerDecision best;
-    bool have_best = false;
-    for (size_t c = 0; c < _menu.candidates.size(); ++c) {
-        const cooling::Regime &candidate = _menu.candidates[c];
-        const CandidateScore &cs = _scores[c];
 
         bool better;
         if (!have_best) {
@@ -141,6 +126,8 @@ CoolingOptimizer::chooseBatched(const CoolingPredictor &predictor,
         } else if (cs.score < best.score - 1e-9) {
             better = true;
         } else if (cs.score < best.score + 1e-9) {
+            // Tie: prefer the incumbent regime (stability), then the
+            // cheaper candidate.
             bool cand_incumbent = candidate == state.currentRegime;
             bool best_incumbent = best.regime == state.currentRegime;
             if (cand_incumbent && !best_incumbent)

@@ -62,14 +62,13 @@ class CoolingOptimizer
                              Trajectory &traj_scratch) const;
 
     /**
-     * choose() via the predictor's batched candidate scorer: every
-     * candidate of the epoch is rolled out in one flat-array pass
-     * against the shared @p outlook, then the winner is selected with
-     * exactly choose()'s comparison semantics (1e-9 tie window,
-     * incumbent preference, 1e-12 energy tie).  Scores can differ from
-     * the scalar path in the last ulps (the batched scorer reassociates
-     * the model arithmetic), so a near-tie may resolve differently —
-     * covered by the batched engine's tolerance contract, DESIGN.md §10.
+     * choose() through the lane scorer (CoolingPredictor::scoreLane), the
+     * lane-batched engine's rollout instance: the same selection loop,
+     * static-floor screen and incumbent bound over the epoch's shared
+     * @p outlook.  Scores can differ from the scalar path in the last
+     * ulps (the lane scorer reassociates the model arithmetic), so a
+     * near-tie may resolve differently — covered by the batched engine's
+     * tolerance contract, DESIGN.md §10.
      */
     OptimizerDecision chooseBatched(const CoolingPredictor &predictor,
                                     const PredictorState &state,
@@ -94,14 +93,30 @@ class CoolingOptimizer
     OptimizerStats stats() const { return _stats; }
 
   private:
+    /**
+     * The selection loop of both choose() instances: menu order, a
+     * candidate whose static floor (its score with a zero penalty)
+     * reaches the incumbent's score + 1e-9 is skipped, the rest roll out
+     * with that bound, by predictScoredInto() into @p traj or by the
+     * lane scorer when @p traj is null.
+     */
+    OptimizerDecision select(const CoolingPredictor &predictor,
+                             const PredictorState &state,
+                             const EpochOutlook &outlook,
+                             const std::vector<int> &activePods,
+                             const TemperatureBand &band,
+                             Trajectory *traj) const;
+
     cooling::RegimeMenu _menu;
     UtilityConfig _utility;
     mutable OptimizerStats _stats;
 
-    // chooseBatched() scratch (one optimizer per controller; never
-    // shared across threads).
-    mutable std::vector<double> _switchTerms;
-    mutable std::vector<CandidateScore> _scores;
+    // The menu's plan and the model state and horizon it is for (one
+    // optimizer per controller; never shared across threads).
+    mutable std::vector<PlannedCandidate> _plan;
+    mutable const model::CoolingModel *_planModel = nullptr;
+    mutable uint64_t _planRevision = 0;
+    mutable int _planHorizon = 0;
 };
 
 } // namespace core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/predictor_kernels.hpp"
 #include "physics/psychrometrics.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
@@ -151,101 +150,83 @@ CoolingPredictor::predictInto(const PredictorState &state,
 }
 
 void
-CoolingPredictor::scoreCandidates(const PredictorState &state,
-                                  const cooling::RegimeMenu &menu,
-                                  const EpochOutlook &outlook,
-                                  const std::vector<int> &activePods,
-                                  const TemperatureBand &band,
-                                  const UtilityConfig &cfg,
-                                  const std::vector<double> &switch_terms,
-                                  std::vector<CandidateScore> &out) const
+CoolingPredictor::planCandidates(const cooling::RegimeMenu &menu,
+                                 const UtilityConfig &cfg,
+                                 std::vector<PlannedCandidate> &plan) const
 {
-    using cooling::RegimeClass;
-    using kernels::kBankRows;
+    constexpr int kCls = cooling::kNumRegimeClasses;
+    const double step_h = _model->config().stepS / 3600.0;
+    plan.resize(menu.candidates.size());
+    for (size_t c = 0; c < plan.size(); ++c) {
+        const cooling::Regime &candidate = menu.candidates[c];
+        PlannedCandidate &pc = plan[c];
+        pc.cls = cooling::classify(candidate);
+        const bool ac_on = candidate.mode == cooling::Mode::AirConditioning &&
+                           candidate.compressorOn;
+        // Variable-speed AC blends the compressor-on and -off maps by
+        // compressor speed; its fan is zero like every AC candidate's.
+        const bool ac_interp =
+            ac_on && candidate.compressorSpeed < 1.0 - 1e-9;
+        const int first = int(pc.cls);
+        const int rest = kCls + int(pc.cls);
+        pc.slots = {first,
+                    ac_interp ? int(cooling::RegimeClass::AcFanOnly) : first,
+                    rest, ac_interp ? kOffRest : rest};
+        pc.fan = candidate.mode == cooling::Mode::FreeCooling
+                     ? candidate.fanSpeed
+                     : 0.0;
+        pc.s = ac_interp ? util::clamp(candidate.compressorSpeed, 0.0, 1.0)
+                         : 0.0;
+        pc.acFull = cfg.penalizeAcFull && ac_on && !ac_interp;
+        const double power_w = _model->predictCoolingPower(candidate);
+        pc.energyKwh = 0.0;
+        for (int step = 0; step < _horizonSteps; ++step)
+            pc.energyKwh += power_w * step_h / 1000.0;
+        pc.laneEnergyKwh = power_w * step_h / 1000.0 * double(_horizonSteps);
+    }
+}
 
+void
+CoolingPredictor::beginLanes(const PredictorState &state,
+                             const EpochOutlook &outlook,
+                             const std::vector<int> &activePods,
+                             const TemperatureBand &band,
+                             const UtilityConfig &cfg) const
+{
     const int pods = int(state.podTempC.size());
-    const int cands = int(menu.candidates.size());
-    const int horizon = _horizonSteps;
     if (pods > _model->config().numPods)
         util::panic("CoolingPredictor: pod out of range");
-    if (int(outlook.outsideC.size()) < horizon)
+    if (int(outlook.outsideC.size()) < _horizonSteps)
         util::panic("CoolingPredictor: outlook shorter than the horizon");
-    if (int(switch_terms.size()) != cands)
-        util::panic("scoreCandidates: switch_terms arity mismatch");
     for (int pod : activePods)
         if (pod < 0 || pod >= pods)
-            util::panic("scoreCandidates: pod index out of range");
-    _stats.rollouts += cands;
+            util::panic("beginLanes: pod index out of range");
 
-    // Bank slots: the first step's map into each class (current class
-    // -> class), each class's steady map, and interpolated AC's
-    // compressor-off steady map (AcCompressor -> AcFanOnly).
-    constexpr int kCls = cooling::kNumRegimeClasses;
-    constexpr int kOffRest = 2 * kCls;
-    const int pods8 = kernels::paddedPods(pods);
-    const size_t P = size_t(pods8);
-    const size_t C = size_t(cands);
-    if (_cCand.size() != 6 * C || _cPods.size() != 4 * P) {
-        _cBanks.resize(size_t(kOffRest + 1) * kBankRows * P);
-        _cPods.resize(4 * P);
-        _cLaneSum.resize(size_t(horizon) * kernels::kPodBlock);
-        _cAvgT.resize(size_t(horizon) * C);
-        _cCand.resize(6 * C);
-    }
-    out.resize(C);
+    _laneState = &state;
+    _laneOutlook = &outlook;
+    _laneUtility = &cfg;
+    _laneBanks.fill(nullptr);
+
+    const size_t P = size_t(kernels::paddedPods(pods));
+    _cBanks.resize(_laneBanks.size() * kernels::kBankRows * P);
+    _cLaneSum.resize(size_t(_horizonSteps) * kernels::kPodBlock);
+    _cSteps.resize(2 * size_t(_horizonSteps));
 
     // Padded pod inputs; the padding stays zero (mask included).
+    _cPods.assign(4 * P, 0.0);
     double *t0 = _cPods.data();
-    double *tprev0 = t0 + P;
-    double *pf = t0 + 2 * P;
-    double *mask = t0 + 3 * P;
-    std::fill(_cPods.begin(), _cPods.end(), 0.0);
     for (int p = 0; p < pods; ++p) {
         t0[p] = state.podTempC[size_t(p)];
-        tprev0[p] = state.podTempPrevC[size_t(p)];
-        pf[p] = p < int(state.podPowerFraction.size())
-                    ? state.podPowerFraction[size_t(p)]
-                    : 0.5;
+        t0[P + size_t(p)] = state.podTempPrevC[size_t(p)];
+        t0[2 * P + size_t(p)] = p < int(state.podPowerFraction.size())
+                                    ? state.podPowerFraction[size_t(p)]
+                                    : 0.5;
     }
     for (int pod : activePods)
-        mask[pod] = 1.0;
-
-    // --- Collapse each transition bank the menu uses once per epoch:
-    // the outlook holds every non-state feature constant, so a bank
-    // reduces to per-pod affine terms `T' = a*T + b*Tprev + c` in which
-    // only the candidate's fan varies (kernels::collapseBankN).
-    const RegimeClass cur_cls = cooling::classify(state.currentRegime);
-    std::array<const ResolvedModels *, kOffRest + 1> banks{};
-    auto bank = [&](int slot) -> const ResolvedModels & {
-        const ResolvedModels *&res = banks[size_t(slot)];
-        if (res)
-            return *res;
-        const bool first = slot < kCls;
-        const RegimeClass to = slot == kOffRest ? RegimeClass::AcFanOnly
-                                                : RegimeClass(slot % kCls);
-        const RegimeClass from = first ? cur_cls
-                                 : slot == kOffRest
-                                     ? RegimeClass::AcCompressor
-                                     : to;
-        res = &resolved({from, to});
-        // Evaporative candidates are driven by the pre-cooled intake.
-        const bool evap = to == RegimeClass::FcEvap;
-        const double out_c = evap ? outlook.evapOutletC : outlook.outsideC[0];
-        const double out_prev =
-            first && !evap ? outlook.outsidePrevC : out_c;
-        kernels::collapseBankN(
-            pods, int(res->temp.size()), res->tempW.data(), out_c, out_prev,
-            first ? state.fanSpeedPrev : 0.0, first ? 0.0 : 1.0,
-            state.dcUtilization, pf, pods8,
-            _cBanks.data() + size_t(slot) * kBankRows * P);
-        return *res;
-    };
-    auto coef = [&](int slot) {
-        return _cBanks.data() + size_t(slot) * kBankRows * P;
-    };
+        t0[3 * P + size_t(pod)] = 1.0;
 
     const double step_h = _model->config().stepS / 3600.0;
-    kernels::TempPenalty tw;
+    kernels::TempPenalty &tw = _laneWeights;
     tw.wMaxTemp = cfg.penalizeMaxTemp ? 2.0 : 0.0;  // one unit per 0.5 C
     tw.maxTempC = cfg.maxTempC;
     tw.wBand = cfg.penalizeBand ? 2.0 : 0.0;
@@ -259,58 +240,86 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
                      ? cfg.centeringWeightPerC
                      : 0.0;
     tw.centerC = band.center();
-    const double inv_pods = pods > 0 ? 1.0 / pods : 0.0;
+}
 
-    // Per-candidate rows: temperature penalty, the humidity maps
-    // (step-0 alpha and beta, steady alpha and beta), humidity scratch.
-    double *pen = _cCand.data();
-    double *hum = pen + C;
-    double *h = pen + 5 * C;
+const CoolingPredictor::ResolvedModels &
+CoolingPredictor::laneBank(int slot) const
+{
+    using cooling::RegimeClass;
+    constexpr int kCls = cooling::kNumRegimeClasses;
+    const ResolvedModels *&res = _laneBanks[size_t(slot)];
+    if (res)
+        return *res;
+    const PredictorState &state = *_laneState;
+    const EpochOutlook &outlook = *_laneOutlook;
+    const bool first = slot < kCls;
+    const RegimeClass to = slot == kOffRest ? RegimeClass::AcFanOnly
+                                            : RegimeClass(slot % kCls);
+    const RegimeClass from =
+        first ? cooling::classify(state.currentRegime)
+              : slot == kOffRest ? RegimeClass::AcCompressor : to;
+    res = &resolved({from, to});
 
-    // --- One fused pass per candidate: rollout and temperature penalty
-    // in registers, writing only the per-step pod averages RH needs.
-    for (int c = 0; c < cands; ++c) {
-        const cooling::Regime &candidate = menu.candidates[size_t(c)];
-        const RegimeClass cls = cooling::classify(candidate);
-        // Variable-speed AC blends the compressor-on and -off maps by
-        // compressor speed; its fan is zero like every AC candidate's.
-        const bool ac_interp =
-            candidate.mode == cooling::Mode::AirConditioning &&
-            candidate.compressorOn &&
-            candidate.compressorSpeed < 1.0 - 1e-9;
-        const int first_on = int(cls);
-        const int rest_on = kCls + int(cls);
-        const int first_off =
-            ac_interp ? int(RegimeClass::AcFanOnly) : first_on;
-        const int rest_off = ac_interp ? kOffRest : rest_on;
+    // The outlook holds every non-state feature constant, so the bank
+    // reduces to per-pod affine terms `T' = a*T + b*Tprev + c` in which
+    // only the candidate's fan varies.  Evaporative candidates are
+    // driven by the pre-cooled intake.
+    const bool evap = to == RegimeClass::FcEvap;
+    const double out_c = evap ? outlook.evapOutletC : outlook.outsideC[0];
+    const double out_prev = first && !evap ? outlook.outsidePrevC : out_c;
+    const int pods = int(state.podTempC.size());
+    const int pods8 = kernels::paddedPods(pods);
+    kernels::collapseBankN(
+        pods, int(res->temp.size()), res->tempW.data(), out_c, out_prev,
+        first ? state.fanSpeedPrev : 0.0, first ? 0.0 : 1.0,
+        state.dcUtilization, _cPods.data() + 2 * size_t(pods8), pods8,
+        _cBanks.data() + size_t(slot) * kernels::kBankRows * size_t(pods8));
+    return *res;
+}
 
-        kernels::CandidateMaps maps;
-        maps.s = ac_interp ? util::clamp(candidate.compressorSpeed, 0.0, 1.0)
-                           : 0.0;
-        maps.fan = candidate.mode == cooling::Mode::FreeCooling
-                       ? candidate.fanSpeed
-                       : 0.0;
-        const ResolvedModels *res[] = {&bank(first_on), &bank(first_off),
-                                       &bank(rest_on), &bank(rest_off)};
-        maps.firstOn = coef(first_on);
-        maps.firstOff = coef(first_off);
-        maps.restOn = coef(rest_on);
-        maps.restOff = coef(rest_off);
+bool
+CoolingPredictor::scoreLane(const PlannedCandidate &cand, double floor,
+                            double abandonAtScore, CandidateScore &out) const
+{
+    ++_stats.rollouts;
+    const PredictorState &state = *_laneState;
+    const UtilityConfig &cfg = *_laneUtility;
+    const int pods = int(state.podTempC.size());
+    const int pods8 = kernels::paddedPods(pods);
+    const size_t P = size_t(pods8);
+    const int horizon = _horizonSteps;
 
-        double *avg_t = _cAvgT.data() + c;
-        pen[c] = kernels::rolloutPenaltyN(pods8, horizon, maps, t0, tprev0,
-                                          mask, tw, inv_pods,
-                                          _cLaneSum.data(), avg_t, cands);
-        if (pods == 0)
-            for (int step = 0; step < horizon; ++step)
-                avg_t[size_t(step) * C] = 20.0;
+    const ResolvedModels *res[4];
+    const double *coef[4];
+    for (int k = 0; k < 4; ++k) {
+        res[k] = &laneBank(cand.slots[size_t(k)]);
+        coef[k] = _cBanks.data() +
+                  size_t(cand.slots[size_t(k)]) * kernels::kBankRows * P;
+    }
+    const kernels::CandidateMaps maps{coef[0], coef[1], coef[2],
+                                      coef[3], cand.s,  cand.fan};
 
+    const double *t0 = _cPods.data();
+    double *avg_t = _cSteps.data();
+    double penalty = 0.0;
+    if (!kernels::rolloutPenaltyN(pods8, horizon, maps, t0, t0 + P, t0 + 3 * P,
+                                  _laneWeights, pods > 0 ? 1.0 / pods : 0.0,
+                                  floor, abandonAtScore, _cLaneSum.data(),
+                                  avg_t, penalty)) {
+        ++_stats.rolloutsAbandoned;
+        return false;
+    }
+    if (pods == 0)
+        std::fill(avg_t, avg_t + horizon, 20.0);
+
+    if (cfg.penalizeHumidity) {
         // Humidity: h' = alpha*h + beta, constant across the horizon
         // except the step-0 transition model.
+        double hum[4];
         for (int k = 0; k < 2; ++k) {
             const auto &on = res[2 * k]->humW;
             const auto &off = res[2 * k + 1]->humW;
-            const double fan = maps.fan;
+            const double fan = cand.fan;
             const double oa = state.outsideAbsHumidity;
             const double al_on = on[1] + on[4] * fan;
             const double al_off = off[1] + off[4] * fan;
@@ -318,37 +327,20 @@ CoolingPredictor::scoreCandidates(const PredictorState &state,
                                  on[3] * fan;
             const double be_off = off[0] + (off[2] + off[5] * fan) * oa +
                                   off[3] * fan;
-            hum[size_t(2 * k) * C + size_t(c)] =
-                al_off + (al_on - al_off) * maps.s;
-            hum[size_t(2 * k + 1) * C + size_t(c)] =
-                be_off + (be_on - be_off) * maps.s;
+            hum[2 * k] = al_off + (al_on - al_off) * cand.s;
+            hum[2 * k + 1] = be_off + (be_on - be_off) * cand.s;
         }
-        out[size_t(c)].energyKwh = _model->predictCoolingPower(candidate) *
-                                   step_h / 1000.0 * double(horizon);
+        penalty = kernels::humidityPenalty(
+            horizon, hum, state.coldAbsHumidity, avg_t,
+            cfg.humidityMaxPercent, cfg.humidityMinPercent, avg_t + horizon,
+            penalty);
     }
-
-    // --- Humidity terms in one pass over candidates x steps, then the
-    // AC-full, energy and switch terms per candidate.
-    if (cfg.penalizeHumidity)
-        kernels::humidityPenaltyN(cands, horizon, hum, state.coldAbsHumidity,
-                                  _cAvgT.data(), cfg.humidityMaxPercent,
-                                  cfg.humidityMinPercent, h, pen);
-    for (int c = 0; c < cands; ++c) {
-        const cooling::Regime &candidate = menu.candidates[size_t(c)];
-        CandidateScore &cs = out[size_t(c)];
-        cs.penalty = pen[c];
-        const bool ac_full =
-            cfg.penalizeAcFull &&
-            candidate.mode == cooling::Mode::AirConditioning &&
-            candidate.compressorOn &&
-            candidate.compressorSpeed >= 1.0 - 1e-9;
-        if (ac_full)
-            cs.penalty += double(horizon);
-        cs.score = cs.penalty;
-        if (cfg.energyAware)
-            cs.score += cfg.energyWeightPerKwh * cs.energyKwh;
-        cs.score += switch_terms[size_t(c)];
-    }
+    if (cand.acFull)
+        penalty += double(horizon);
+    out.penalty = penalty;
+    out.energyKwh = cand.laneEnergyKwh;
+    out.score = penalty + floor;
+    return true;
 }
 
 bool

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cooling/regime.hpp"
+#include "core/predictor_kernels.hpp"
 #include "core/utility.hpp"
 #include "model/cooling_model.hpp"
 #include "plant/parasol.hpp"
@@ -115,12 +116,25 @@ struct ScoreContext
     double abandonAtScore = std::numeric_limits<double>::infinity();
 };
 
-/** One candidate's fully-evaluated score (batched scoring path). */
+/** One candidate's fully-evaluated score. */
 struct CandidateScore
 {
     double penalty = 0.0;    ///< Violation units along the horizon.
     double energyKwh = 0.0;  ///< Predicted cooling energy.
     double score = 0.0;      ///< penalty + energy term + switch term.
+};
+
+/** One menu candidate as the scorers see it, derived once per menu,
+    model revision, horizon and utility (planCandidates). */
+struct PlannedCandidate
+{
+    cooling::RegimeClass cls = cooling::RegimeClass::Closed;
+    std::array<int, 4> slots{};  ///< Lane banks: first on/off, steady on/off
+    double fan = 0.0;            ///< Fan speed (0 unless free cooling).
+    double s = 0.0;              ///< Interpolated AC's compressor blend.
+    bool acFull = false;         ///< Charged one unit per step.
+    double energyKwh = 0.0;      ///< As predictScoredInto accumulates it.
+    double laneEnergyKwh = 0.0;  ///< The lane scorer's energy term.
 };
 
 /** Chains the Cooling Model over the optimizer horizon. */
@@ -169,35 +183,38 @@ class CoolingPredictor
                            const ScoreContext &score, Trajectory &traj,
                            double &penalty) const;
 
+    /** Fill @p plan with one entry per candidate of @p menu. */
+    void planCandidates(const cooling::RegimeMenu &menu,
+                        const UtilityConfig &utility,
+                        std::vector<PlannedCandidate> &plan) const;
+
+    /** Start an epoch of the lane scorer; the arguments must outlive
+        the epoch's scoreLane() calls. */
+    void beginLanes(const PredictorState &state, const EpochOutlook &outlook,
+                    const std::vector<int> &activePods,
+                    const TemperatureBand &band,
+                    const UtilityConfig &utility) const;
+
     /**
-     * Score every candidate of @p menu against the shared @p outlook in
-     * one batched pass (the lane-batched engine's scoring path).
-     *
-     * Algebraically this evaluates exactly what predictScoredInto() does
-     * per candidate.  The outlook holds outside conditions fixed, so
-     * every non-state feature is rollout-constant: each transition bank
-     * the menu uses is collapsed once per epoch into per-pod affine
-     * terms `T' = a*T + b*Tprev + c` in which only the candidate's fan
-     * varies, and each candidate then runs one fused pass over its pods
-     * (rollout and temperature penalty in registers, no history array).
-     * The reassociation means scores can differ from the scalar path in
-     * the last ulps — a near-tie between candidates may resolve the
-     * other way, which is why the batched engine carries a tolerance
-     * contract instead of bit-identity (DESIGN.md §10).  No candidate
-     * is abandoned: all scores in @p out are fully evaluated, with the
-     * energy and @p switch_terms already folded into .score.
-     *
-     * @p out is resized to the menu; @p switch_terms holds the exact
-     * per-candidate switch-penalty term choose() would use.
+     * predictScoredInto() on the lane path (the lane-batched engine's
+     * rollout instance): each transition bank is collapsed, the first
+     * time the epoch needs it, into per-pod affine terms
+     * `T' = a*T + b*Tprev + c`, and @p cand runs one fused pass over its
+     * pods.  It is abandoned (false) once its penalty so far plus
+     * @p floor, its score with a zero penalty, reaches @p abandonAtScore;
+     * a completed candidate scores penalty + @p floor at any threshold.
+     * Scores can differ from the scalar path in the last ulps
+     * (DESIGN.md §10's tolerance contract).
      */
-    void scoreCandidates(const PredictorState &state,
-                         const cooling::RegimeMenu &menu,
-                         const EpochOutlook &outlook,
-                         const std::vector<int> &activePods,
-                         const TemperatureBand &band,
-                         const UtilityConfig &utility,
-                         const std::vector<double> &switch_terms,
-                         std::vector<CandidateScore> &out) const;
+    bool scoreLane(const PlannedCandidate &cand, double floor,
+                   double abandonAtScore, CandidateScore &out) const;
+
+    /** Count a candidate screened by its floor as rollout abandoned. */
+    void noteScreened() const
+    {
+        ++_stats.rollouts;
+        ++_stats.rolloutsAbandoned;
+    }
 
     /** Number of steps per rollout. */
     int horizonSteps() const { return _horizonSteps; }
@@ -209,8 +226,8 @@ class CoolingPredictor
         the thread-private predictor; harvested once per run). */
     struct PredictorStats
     {
-        int64_t rollouts = 0;           ///< predictScoredInto calls
-        int64_t rolloutsAbandoned = 0;  ///< early-abandoned (bound hit)
+        int64_t rollouts = 0;           ///< candidate rollouts started
+        int64_t rolloutsAbandoned = 0;  ///< screened or bound hit
         int64_t resolveHits = 0;        ///< resolved() served from cache
         int64_t resolveMisses = 0;      ///< resolved() filled an entry
     };
@@ -252,22 +269,32 @@ class CoolingPredictor
      */
     const ResolvedModels &resolved(const cooling::TransitionKey &key) const;
 
+    /** Lane bank slots: the first step's map into each class, each
+        class's steady map, and AcCompressor -> AcFanOnly. */
+    static constexpr int kOffRest = 2 * cooling::kNumRegimeClasses;
+
+    /** Lane bank @p slot's models, collapsed on the epoch's first use. */
+    const ResolvedModels &laneBank(int slot) const;
+
     // Rollout scratch (predictInto is logically const; one predictor per
     // controller, controllers are never shared across threads).
     mutable std::vector<double> _temp;
     mutable std::vector<double> _tempPrev;
 
-    // Batched-scoring scratch, sized once per (menu, padded pods)
-    // shape: the collapsed banks ([slot][row][pod]), the padded pod
-    // inputs (temps, previous temps, power fractions, mask), the fused
-    // kernel's lane sums, the per-step cold-aisle averages
-    // ([step * cands + cand]), and per-candidate rows (penalty, humidity
-    // maps, humidity).
+    // The lane scorer's epoch (beginLanes): its inputs, penalty weights
+    // and the banks collapsed so far; then its scratch: the banks
+    // ([slot][row][pod]), the padded pod inputs (temps, previous temps,
+    // power fractions, mask), the kernel's lane sums, and the per-step
+    // pod averages and absolute humidities.
+    mutable const PredictorState *_laneState = nullptr;
+    mutable const EpochOutlook *_laneOutlook = nullptr;
+    mutable const UtilityConfig *_laneUtility = nullptr;
+    mutable kernels::TempPenalty _laneWeights;
+    mutable std::array<const ResolvedModels *, kOffRest + 1> _laneBanks{};
     mutable std::vector<double> _cBanks;
     mutable std::vector<double> _cPods;
     mutable std::vector<double> _cLaneSum;
-    mutable std::vector<double> _cAvgT;
-    mutable std::vector<double> _cCand;
+    mutable std::vector<double> _cSteps;
 
     mutable std::vector<ResolvedModels> _resolveCache;
     mutable uint64_t _resolveRevision = 0;

@@ -95,18 +95,20 @@ stepTerm(const TempPenalty &w, double x, double prev)
 
 } // anonymous namespace
 
-double
+bool
 rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &m,
                 const double *__restrict T0, const double *__restrict Tprev0,
                 const double *__restrict mask, const TempPenalty &w,
-                double inv_pods, double *__restrict laneSum,
-                double *__restrict podAvg, int64_t avg_stride)
+                double inv_pods, double floor, double abandon_at,
+                double *__restrict laneSum, double *__restrict podAvg,
+                double &penalty)
 {
     constexpr int W = kPodBlock;
     const int64_t P = pods8;
     for (int64_t i = 0; i < int64_t(horizon) * W; ++i)
         laneSum[i] = 0.0;
     double pen[W] = {};
+    double total = 0.0;
     for (int64_t blk = 0; blk < P; blk += W) {
         double a0[W], b0[W], c0[W], a1[W], b1[W], c1[W], t[W], tp[W];
         for (int i = 0; i < W; ++i) {
@@ -118,58 +120,60 @@ rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &m,
             tp[i] = Tprev0[blk + i];
         }
         const double *mk = mask + blk;
-        auto advance = [&](const double *a, const double *b, const double *c,
-                           double *sum) {
+        for (int step = 0; step < horizon; ++step) {
+            const double *a = step == 0 ? a0 : a1;
+            const double *b = step == 0 ? b0 : b1;
+            const double *c = step == 0 ? c0 : c1;
+            // The centering pull charges the final step only.
+            const double center = step + 1 == horizon ? w.wCenter : 0.0;
+            double *sum = laneSum + int64_t(step) * W;
             for (int i = 0; i < W; ++i) {
                 const double x = a[i] * t[i] + b[i] * tp[i] + c[i];
                 pen[i] += mk[i] * stepTerm(w, x, t[i]);
+                pen[i] += center * mk[i] * std::fabs(x - w.centerC);
                 tp[i] = t[i];
                 t[i] = x;
                 sum[i] += x;
             }
-        };
-        advance(a0, b0, c0, laneSum);
-        for (int step = 1; step < horizon; ++step)
-            advance(a1, b1, c1, laneSum + int64_t(step) * W);
-        for (int i = 0; i < W; ++i)
-            pen[i] += w.wCenter * mk[i] * std::fabs(t[i] - w.centerC);
+            total = 0.0;
+            for (int i = 0; i < W; ++i)
+                total += pen[i];
+            if (total + floor >= abandon_at)
+                return false;
+        }
     }
     for (int step = 0; step < horizon; ++step) {
         const double *sum = laneSum + int64_t(step) * W;
         double acc = 0.0;
         for (int i = 0; i < W; ++i)
             acc += sum[i];
-        podAvg[step * avg_stride] = acc * inv_pods;
+        podAvg[step] = acc * inv_pods;
     }
-    double total = 0.0;
-    for (int i = 0; i < W; ++i)
-        total += pen[i];
-    return total;
+    penalty = total;
+    return true;
 }
 
-void
-humidityPenaltyN(int cands, int horizon, const double *__restrict hum,
-                 double h0, const double *__restrict avg, double max_rh,
-                 double min_rh, double *__restrict h,
-                 double *__restrict penalty)
+double
+humidityPenalty(int horizon, const double *__restrict hum, double h0,
+                const double *__restrict avg, double max_rh, double min_rh,
+                double *__restrict h, double penalty)
 {
-    const int64_t C = cands;
-    for (int64_t c = 0; c < C; ++c)
-        h[c] = h0;
+    // The recurrence first, so the RH pass (one exp per step) vectorizes
+    // across steps.
+    double x = h0;
     for (int step = 0; step < horizon; ++step) {
-        const double *alpha = hum + (step == 0 ? 0 : 2 * C);
-        const double *beta = alpha + C;
-        const double *t = avg + int64_t(step) * C;
-        for (int64_t c = 0; c < C; ++c) {
-            h[c] = alpha[c] * h[c] + beta[c];
-            const double rh = physics::relativeHumidityAt(
-                t[c], h[c], physics::magnusSvp(t[c]));
-            const double over = rh - max_rh;
-            const double under = min_rh - rh;
-            penalty[c] +=
-                (over > 0.0 ? over : under > 0.0 ? under : 0.0) / 5.0;
-        }
+        const double *map = hum + (step == 0 ? 0 : 2);
+        x = map[0] * x + map[1];
+        h[step] = x;
     }
+    for (int step = 0; step < horizon; ++step) {
+        const double rh = physics::relativeHumidityAt(
+            avg[step], h[step], physics::magnusSvp(avg[step]));
+        const double over = rh - max_rh;
+        const double under = min_rh - rh;
+        penalty += (over > 0.0 ? over : under > 0.0 ? under : 0.0) / 5.0;
+    }
+    return penalty;
 }
 
 } // namespace kernels

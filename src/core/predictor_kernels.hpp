@@ -4,7 +4,7 @@
 /**
  * @file
  * Flat-array kernels for the batched candidate scorer
- * (CoolingPredictor::scoreCandidates).  Compiled in their own TU with
+ * (CoolingPredictor::scoreLane).  Compiled in their own TU with
  * COOLAIR_KERNEL_OPTIONS (fast-math + native ISA), so everything here
  * lives under the batched path's tolerance contract (DESIGN.md §10) —
  * never call these from the scalar oracle path.
@@ -86,34 +86,38 @@ struct CandidateMaps
 
 /**
  * Roll one candidate out @p horizon steps from the padded current and
- * previous temperatures @p T0 / @p Tprev0 and return its temperature
+ * previous temperatures @p T0 / @p Tprev0 and accumulate its temperature
  * penalty: the masked max-temp, band and rate terms of every step plus
  * the final-step centering pull (each term is zero exactly when the
  * scalar branch would not fire, so masking equals iterating the active
  * pods).  Pods run in blocks of kPodBlock whose temperatures stay in
  * registers through the horizon (@p horizon >= 1).
- * @p podAvg[s * avg_stride] receives step s's pod average (the pod sum
- * times @p inv_pods), and @p laneSum (horizon * kPodBlock) is scratch.
+ *
+ * After each step the per-pod penalty lanes are summed and @p floor is
+ * added; once that reaches @p abandon_at the rollout stops and false is
+ * returned.  The lanes only grow and one statement forms every sum, so
+ * the @p penalty a completed rollout returns (the last sum) is at least
+ * every sum compared before it.  On completion @p podAvg[s] receives
+ * step s's pod average (the pod sum times @p inv_pods); @p laneSum
+ * (horizon * kPodBlock) is scratch.
  */
-double rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &maps,
-                       const double *T0, const double *Tprev0,
-                       const double *mask, const TempPenalty &w,
-                       double inv_pods, double *laneSum, double *podAvg,
-                       int64_t avg_stride);
+bool rolloutPenaltyN(int pods8, int horizon, const CandidateMaps &maps,
+                     const double *T0, const double *Tprev0,
+                     const double *mask, const TempPenalty &w,
+                     double inv_pods, double floor, double abandon_at,
+                     double *laneSum, double *podAvg, double &penalty);
 
 /**
- * The humidity terms of @p cands candidates in one pass over candidates
- * x steps, vectorized across candidates.  Each candidate's absolute
- * humidity follows `h' = alpha*h + beta` from @p h0; @p hum holds four
- * rows of @p cands: the step-0 alpha and beta, then the steady map's.
- * Its RH is taken at the step's pod average @p avg
- * ([step * cands + cand]), and the excess over @p max_rh or under
- * @p min_rh, in units of 5 %, is added to @p penalty.  @p h (@p cands)
- * is scratch.
+ * One candidate's humidity terms added to @p penalty, which is returned.
+ * Its absolute humidity follows `h' = alpha*h + beta` from @p h0; @p hum
+ * holds the step-0 alpha and beta, then the steady map's.  Its RH is
+ * taken at each step's pod average @p avg, and the excess over @p max_rh
+ * or under @p min_rh, in units of 5 %, is charged.  @p h (horizon) is
+ * scratch.
  */
-void humidityPenaltyN(int cands, int horizon, const double *hum, double h0,
-                      const double *avg, double max_rh, double min_rh,
-                      double *h, double *penalty);
+double humidityPenalty(int horizon, const double *hum, double h0,
+                       const double *avg, double max_rh, double min_rh,
+                       double *h, double penalty);
 
 } // namespace kernels
 } // namespace core

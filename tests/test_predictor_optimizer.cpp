@@ -221,11 +221,12 @@ TEST(Optimizer, DecisionReportsDiagnostics)
 }
 
 // ---------------------------------------------------------------------------
-// The batched scorer (CoolingPredictor::scoreCandidates) against the scalar
-// rollouts: the same score, penalty and energy for every candidate, to 1e-10
-// relative (floor 1), over deterministic random states.  The batched path
-// reassociates the model arithmetic, so its scores may move in the last ulps
-// but never by more.
+// The lane scorer (CoolingPredictor::scoreLane) against the scalar rollouts:
+// the same score, penalty and energy for every candidate, to 1e-10 relative
+// (floor 1), over deterministic random states.  The lane path reassociates
+// the model arithmetic, so its scores may move in the last ulps but never by
+// more.  Both choose() instances are also pinned to the selection rule over
+// every candidate's full score.
 
 namespace {
 
@@ -320,15 +321,71 @@ struct PinReport
     int clearWinners = 0;      ///< states whose runner-up trails > 1e-6
     int selectionMismatches = 0;
     std::string firstMismatch;
+    int ruleFailures = 0;      ///< decisions or drops the rule disowns
+    std::string firstRuleFailure;
+    int screened = 0;          ///< lane candidates the floor drops
+    int abandoned = 0;         ///< lane candidates the bound drops
 };
+
+/**
+ * choose()'s selection rule over fully-scored candidates, written out
+ * independently: menu order, the first candidate wins outright, then
+ * strictly better by 1e-9, then the tie window preferring the incumbent
+ * and the cheaper rollout.  Returns the winner's index; @p thresholds[c]
+ * receives the incumbent's score + 1e-9 when candidate c comes up (+inf
+ * for the first).
+ */
+size_t
+selectByRule(const RegimeMenu &menu, const Regime &current,
+             const std::vector<CandidateScore> &full,
+             std::vector<double> &thresholds)
+{
+    size_t best = 0;
+    thresholds.assign(full.size(), INFINITY);
+    for (size_t c = 1; c < full.size(); ++c) {
+        const CandidateScore &b = full[best];
+        thresholds[c] = b.score + 1e-9;
+        const bool cand_inc = menu.candidates[c] == current;
+        const bool best_inc = menu.candidates[best] == current;
+        if (full[c].score < b.score - 1e-9 ||
+            (full[c].score < b.score + 1e-9 &&
+             ((cand_inc && !best_inc) ||
+              (cand_inc == best_inc &&
+               full[c].energyKwh < b.energyKwh - 1e-12))))
+            best = c;
+    }
+    return best;
+}
+
+/** True when @p d is candidate @p k of @p menu with @p cs's numbers, bit
+    for bit. */
+bool
+decidedExactly(const OptimizerDecision &d, const RegimeMenu &menu, size_t k,
+               const CandidateScore &cs)
+{
+    return d.regime == menu.candidates[k] && d.score == cs.score &&
+           d.penalty == cs.penalty && d.energyKwh == cs.energyKwh;
+}
+
+void
+ruleFailure(PinReport &report, int state, const std::string &what)
+{
+    if (report.ruleFailures++ == 0)
+        report.firstRuleFailure = "state " + std::to_string(state) + ": " +
+                                  what;
+}
 
 /**
  * Score @p states random states on @p model with @p pods pods per state,
  * cycling the menus, horizons and the energy / centering / humidity
- * switches, and compare every candidate's batched score, penalty and
- * energy with predictScoredInto (abandonment off, same switch term).
- * Also checks that chooseBatched() picks choose()'s regime whenever the
- * scalar runner-up trails the winner by more than 1e-6.
+ * switches, and compare every candidate's full lane score, penalty and
+ * energy (threshold +inf) with predictScoredInto (abandonment off, same
+ * switch term).  On every state, both choose() instances must return
+ * exactly what the selection rule picks over their own full scores, and
+ * each lane candidate the floor screens or the bound abandons must have a
+ * full score at least the threshold it was dropped at.  Also checks that
+ * chooseBatched() picks choose()'s regime whenever the scalar runner-up
+ * trails the winner by more than 1e-6.
  */
 PinReport
 pinBatchedToScalar(const CoolingModel &model, int pods, int states,
@@ -340,9 +397,11 @@ pinBatchedToScalar(const CoolingModel &model, int pods, int states,
     util::Rng rng(seed);
     PinReport report;
     Trajectory traj;
-    std::vector<CandidateScore> batched;
-    std::vector<double> switch_terms;
-    std::vector<double> scalar_scores;
+    std::vector<PlannedCandidate> plan;
+    std::vector<CandidateScore> lane;
+    std::vector<CandidateScore> scalar;
+    std::vector<double> floors;
+    std::vector<double> thresholds;
 
     for (int i = 0; i < states; ++i) {
         const RegimeMenu &menu = menus[i % 3];
@@ -374,26 +433,39 @@ pinBatchedToScalar(const CoolingModel &model, int pods, int states,
         EpochOutlook outlook;
         outlook.materialize(st, horizon, model.config().evapEffectiveness);
         const RegimeClass cur = cooling::classify(st.currentRegime);
-        switch_terms.clear();
-        for (const Regime &cand : menu.candidates)
-            switch_terms.push_back(
-                cooling::classify(cand) != cur ? cfg.switchPenalty : 0.0);
-
-        pred.scoreCandidates(st, menu, outlook, active, band, cfg,
-                             switch_terms, batched);
-        if (batched.size() != menu.candidates.size()) {
+        pred.planCandidates(menu, cfg, plan);
+        if (plan.size() != menu.candidates.size()) {
             report.worst = INFINITY;
-            report.where = "wrong number of scores";
+            report.where = "wrong number of planned candidates";
             return report;
+        }
+
+        // Every candidate's full lane score (threshold +inf).
+        pred.beginLanes(st, outlook, active, band, cfg);
+        lane.assign(plan.size(), CandidateScore{});
+        floors.clear();
+        for (size_t c = 0; c < plan.size(); ++c) {
+            double floor = 0.0;
+            if (cfg.energyAware)
+                floor += cfg.energyWeightPerKwh * plan[c].laneEnergyKwh;
+            floor += cooling::classify(menu.candidates[c]) != cur
+                         ? cfg.switchPenalty
+                         : 0.0;
+            floors.push_back(floor);
+            if (!pred.scoreLane(plan[c], floor, INFINITY, lane[c]))
+                ruleFailure(report, i, "lane candidate abandoned at +inf");
         }
 
         ScoreContext sc;
         sc.activePods = &active;
         sc.band = &band;
         sc.utility = &cfg;
-        scalar_scores.clear();
+        scalar.assign(plan.size(), CandidateScore{});
         for (size_t c = 0; c < menu.candidates.size(); ++c) {
-            sc.switchTerm = switch_terms[c];
+            sc.switchTerm =
+                cooling::classify(menu.candidates[c]) != cur
+                    ? cfg.switchPenalty
+                    : 0.0;
             double penalty = 0.0;
             pred.predictScoredInto(st, menu.candidates[c], outlook, sc, traj,
                                    penalty);
@@ -401,46 +473,78 @@ pinBatchedToScalar(const CoolingModel &model, int pods, int states,
             if (cfg.energyAware)
                 score += cfg.energyWeightPerKwh * traj.coolingEnergyKwh;
             score += sc.switchTerm;
-            scalar_scores.push_back(score);
+            scalar[c] = {penalty, traj.coolingEnergyKwh, score};
 
-            const double gaps[] = {
-                relativeGap(batched[c].score, score),
-                relativeGap(batched[c].penalty, penalty),
-                relativeGap(batched[c].energyKwh, traj.coolingEnergyKwh)};
             const char *names[] = {"score", "penalty", "energy"};
-            const double scalar[] = {score, penalty, traj.coolingEnergyKwh};
-            const double batch[] = {batched[c].score, batched[c].penalty,
-                                    batched[c].energyKwh};
+            const double ref[] = {score, penalty, traj.coolingEnergyKwh};
+            const double got[] = {lane[c].score, lane[c].penalty,
+                                  lane[c].energyKwh};
             for (int k = 0; k < 3; ++k) {
-                if (!(gaps[k] <= report.worst)) {
-                    report.worst = gaps[k];
+                const double gap = relativeGap(got[k], ref[k]);
+                if (!(gap <= report.worst)) {
+                    report.worst = gap;
                     std::ostringstream os;
                     os.precision(17);
                     os << names[k] << " of " << menu.candidates[c].str()
                        << " at state " << i << " (horizon " << horizon
                        << ", " << active.size() << " active pods): batched "
-                       << batch[k] << " vs scalar " << scalar[k];
+                       << got[k] << " vs scalar " << ref[k];
                     report.where = os.str();
                 }
             }
         }
 
-        std::vector<double> sorted = scalar_scores;
+        // (a) The lane instance: the rule's decision over the full lane
+        // scores, and every drop justified by the full score.
+        CoolingOptimizer opt(menu, cfg);
+        size_t k = selectByRule(menu, st.currentRegime, lane, thresholds);
+        const OptimizerDecision lane_pick =
+            opt.chooseBatched(pred, st, outlook, active, band);
+        if (!decidedExactly(lane_pick, menu, k, lane[k]))
+            ruleFailure(report, i,
+                        "chooseBatched " + lane_pick.regime.str() +
+                            " vs the rule's " + menu.candidates[k].str());
+        pred.beginLanes(st, outlook, active, band, cfg);
+        for (size_t c = 0; c < plan.size(); ++c) {
+            CandidateScore bounded;
+            const bool screened = floors[c] >= thresholds[c];
+            const bool kept =
+                !screened &&
+                pred.scoreLane(plan[c], floors[c], thresholds[c], bounded);
+            report.screened += screened;
+            report.abandoned += !screened && !kept;
+            if (kept ? !(bounded.score == lane[c].score)
+                     : !(lane[c].score >= thresholds[c]))
+                ruleFailure(report, i,
+                            (kept ? "bounded score differs for "
+                                  : "dropped below its threshold: ") +
+                                menu.candidates[c].str());
+        }
+
+        // (b) The scalar instance: the rule's decision over the full
+        // predictScoredInto scores, bit for bit.
+        k = selectByRule(menu, st.currentRegime, scalar, thresholds);
+        const OptimizerDecision scalar_pick =
+            opt.choose(pred, st, outlook, active, band, traj);
+        if (!decidedExactly(scalar_pick, menu, k, scalar[k]))
+            ruleFailure(report, i,
+                        "choose " + scalar_pick.regime.str() +
+                            " vs the rule's " + menu.candidates[k].str());
+
+        std::vector<double> sorted;
+        for (const CandidateScore &cs : scalar)
+            sorted.push_back(cs.score);
         std::sort(sorted.begin(), sorted.end());
         if (sorted.size() < 2 || sorted[1] - sorted[0] <= 1e-6)
             continue;
         ++report.clearWinners;
-        CoolingOptimizer opt(menu, cfg);
-        const Regime scalar_pick =
-            opt.choose(pred, st, outlook, active, band, traj).regime;
-        const Regime batched_pick =
-            opt.chooseBatched(pred, st, outlook, active, band).regime;
-        if (!(scalar_pick == batched_pick)) {
+        if (!(scalar_pick.regime == lane_pick.regime)) {
             if (report.selectionMismatches++ == 0)
                 report.firstMismatch = "state " + std::to_string(i) +
-                                       ": choose " + scalar_pick.str() +
+                                       ": choose " +
+                                       scalar_pick.regime.str() +
                                        " vs chooseBatched " +
-                                       batched_pick.str();
+                                       lane_pick.regime.str();
         }
     }
     return report;
@@ -451,8 +555,11 @@ expectPinned(const PinReport &r, int states)
 {
     EXPECT_LE(r.worst, 1e-10) << "worst deviation: " << r.where;
     EXPECT_EQ(r.selectionMismatches, 0) << r.firstMismatch;
-    // The selection check must not be vacuous.
+    EXPECT_EQ(r.ruleFailures, 0) << r.firstRuleFailure;
+    // The selection and drop checks must not be vacuous.
     EXPECT_GT(r.clearWinners, states / 2);
+    EXPECT_GT(r.screened, 0);
+    EXPECT_GT(r.abandoned, 0);
 }
 
 } // anonymous namespace
@@ -470,6 +577,16 @@ TEST(BatchedScorer, MatchesScalarRolloutsOnTestModel)
     constexpr int kStates = 6000;
     const CoolingModel m = randomModel(2, 29);
     const PinReport r = pinBatchedToScalar(m, 2, kStates, 31);
+    expectPinned(r, kStates);
+}
+
+TEST(BatchedScorer, MatchesScalarRolloutsAcrossPodBlocks)
+{
+    // 12 pods run as two padded blocks of 8, so the bound is checked
+    // with the first block's penalty already in the lanes.
+    constexpr int kStates = 1500;
+    const CoolingModel m = randomModel(12, 37);
+    const PinReport r = pinBatchedToScalar(m, 12, kStates, 43);
     expectPinned(r, kStates);
 }
 
