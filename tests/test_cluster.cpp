@@ -262,3 +262,18 @@ TEST(ClusterSim, JobDelayAccounting)
     EXPECT_GT(st.meanJobDelayS, 1.0 * kSecondsPerHour);
     EXPECT_LT(st.meanJobDelayS, 2.5 * kSecondsPerHour);
 }
+
+// KNOWN DEVIATION (ROADMAP item 10, EXPERIMENTS.md): the engine's warm-up
+// starts at 22:00 of the previous calendar day, and step() rolls the day
+// trace over whenever the day index changes, so the warm-up releases at
+// once every trace job submitted before 22:00 and the measured day starts
+// behind that backlog.  The fix must flip this assertion in the same
+// commit.
+TEST(ClusterSim, WarmupAcrossMidnightReleasesThePreviousDaysTrace)
+{
+    ClusterSim sim({}, facebookTrace());
+    sim.applyPlan(ComputePlan::passthrough());
+    const int64_t midnight = 149 * kSecondsPerDay;
+    runRange(sim, midnight - 2 * kSecondsPerHour, midnight);
+    EXPECT_GT(sim.status().queuedTasks, 40000);
+}
