@@ -14,12 +14,14 @@
 
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
+#include "environment/forecast.hpp"
 #include "environment/world_grid.hpp"
 #include "model/learner.hpp"
 #include "model/linreg.hpp"
 #include "plant/parasol.hpp"
 #include "plant/parasol_batch.hpp"
 #include "sim/batch_engine.hpp"
+#include "sim/metrics.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -390,6 +392,43 @@ BM_ClimateSample(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ClimateSample);
+
+/** The controller's daily forecast: one Forecaster::fullDay call on a
+    named site's Climate with zero forecast error (288 strict
+    Climate::temperature calls), walking the year a day per call. */
+void
+BM_ForecastFullDay(benchmark::State &state)
+{
+    environment::Location loc =
+        environment::namedLocation(environment::NamedSite::Newark);
+    environment::Climate climate = loc.makeClimate(7);
+    environment::Forecaster forecaster(climate);
+    int day = 0;
+    for (auto _ : state) {
+        auto f = forecaster.fullDay(
+            util::SimTime(int64_t(day) * util::kSecondsPerDay));
+        day = (day + 1) % 365;
+        benchmark::DoNotOptimize(f.hours.data());
+    }
+}
+BENCHMARK(BM_ForecastFullDay);
+
+/** One metrics sample as the engines record it: 8 pods, 120 s samples,
+    outside temperature included. */
+void
+BM_MetricsRecordSample(benchmark::State &state)
+{
+    sim::MetricsCollector metrics(sim::MetricsConfig{}, 8);
+    plant::SensorReadings sensors;
+    sensors.podInletC = {24.0, 25.5, 27.0, 28.5, 30.5, 26.0, 29.0, 31.0};
+    int64_t t = 0;
+    for (auto _ : state) {
+        metrics.record(util::SimTime(t), sensors, 120.0, 18.0);
+        t += 120;
+    }
+    benchmark::DoNotOptimize(metrics.violationSamples());
+}
+BENCHMARK(BM_MetricsRecordSample);
 
 // ---------------------------------------------------------------------------
 // The warm read path: what a sweep or SUBMIT answered from the result
