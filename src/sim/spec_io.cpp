@@ -11,6 +11,7 @@
 #include <type_traits>
 
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 
 namespace coolair {
 namespace sim {
@@ -100,15 +101,13 @@ badValue(std::string_view key, std::string_view value)
 
 // Number values are trimmed views into NUL-terminated text: the byte
 // after one is whitespace or the terminator, where strto* stops.
-/** A result payload number: all of @p value read by strtod. */
+/** A result payload number: all of @p value, read as strtod reads it. */
 double
 parseNumber(std::string_view key, std::string_view value)
 {
-    if (value.empty())
-        badValue(key, value);
-    char *end = nullptr;
-    double v = std::strtod(value.data(), &end);
-    if (end != value.data() + value.size())
+    double v = 0.0;
+    bool range_error = false;
+    if (!util::readDecimal(value, v, range_error))
         badValue(key, value);
     return v;
 }

@@ -153,8 +153,16 @@ class ResultStore
     std::atomic<uint64_t> _tempCounter{0};
 };
 
-/** CRC-32 (IEEE 802.3) of a byte string, the checksum entries carry. */
+/** CRC-32 (IEEE 802.3) of a byte string, the checksum entries carry;
+    folded by carry-less multiplication where crc32Folds(). */
 uint32_t crc32(std::string_view data);
+
+/** crc32 by slicing-by-8 tables alone: the portable path, and the
+    reference the fold is tested against. */
+uint32_t crc32Table(std::string_view data);
+
+/** Whether this CPU has PCLMULQDQ and SSE4.1, so crc32 folds. */
+bool crc32Folds();
 
 } // namespace store
 } // namespace coolair

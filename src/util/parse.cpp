@@ -1,6 +1,8 @@
 #include "util/parse.hpp"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hpp"
@@ -39,14 +41,40 @@ parseDouble(const std::string &s, double &out)
         return false;
     if (s.find_first_of("xX") != std::string::npos)  // hex floats
         return false;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || errno == ERANGE)
+    double v = 0.0;
+    bool range_error = false;
+    if (!readDecimal(s, v, range_error) || range_error)
         return false;
     if (!(v == v) || v > std::numeric_limits<double>::max() ||
         v < -std::numeric_limits<double>::max())
         return false;
+    out = v;
+    return true;
+}
+
+bool
+readDecimal(std::string_view s, double &out, bool &range_error)
+{
+    // Trust from_chars past DBL_MIN (strtod may set ERANGE on texts that
+    // round up to it) and on exact zeros (no nonzero digit before 'e').
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    const bool fast =
+        ec == std::errc() && ptr == s.data() + s.size() &&
+        ((std::isfinite(v) &&
+          std::fabs(v) > std::numeric_limits<double>::min()) ||
+         (v == 0.0 && s.substr(0, s.find_first_of("eE"))
+                              .find_first_of("123456789") == s.npos));
+    range_error = false;
+    if (!fast) {
+        const std::string text(s);  // strtod reads up to a terminator
+        char *end = nullptr;
+        errno = 0;
+        v = std::strtod(text.c_str(), &end);
+        range_error = errno == ERANGE;
+        if (text.empty() || end != text.c_str() + text.size())
+            return false;
+    }
     out = v;
     return true;
 }

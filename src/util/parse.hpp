@@ -35,12 +35,20 @@ bool parseInt(const std::string &s, long long &out);
 
 /**
  * Parse @p s as a double.  Returns true and sets @p out only when the
- * whole string parses (strtod-to-end, the sim/spec_io style); "12abc",
- * "", and lone "-" all fail.  Infinities and NaN spellings are
+ * whole string parses (readDecimal-to-end, the sim/spec_io style);
+ * "12abc", "", and lone "-" all fail.  Infinities and NaN spellings are
  * rejected too — recorded data and protocol fields never legitimately
  * contain them.
  */
 bool parseDouble(const std::string &s, double &out);
+
+/**
+ * Read all of @p s as `strtod` does in the "C" locale: true, with its
+ * bits in @p out and its ERANGE in @p range_error, only when strtod would
+ * consume every byte of a non-empty @p s.  `std::from_chars` answers
+ * where it gives strtod's result (DESIGN.md §8 "The decimal reader").
+ */
+bool readDecimal(std::string_view s, double &out, bool &range_error);
 
 /**
  * Parse @p s as an unsigned byte/element count: digits only, no sign,

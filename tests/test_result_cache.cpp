@@ -13,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "environment/world_grid.hpp"
@@ -459,6 +462,39 @@ TEST_F(ResultCacheTest, EntryFileBytesArePinned)
               readFile(st.entryPath(id)));
 }
 
+TEST(StoreIdentity, FoldedCrcMatchesTableCrc)
+{
+    // The table CRC is the reference: it holds both pinned values, and
+    // the folded crc32 must equal it on every length and alignment.
+    ExperimentResult r;
+    r.system = {0.1,   1.0 / 3.0, -0.0, 1e-310, 1e21, 123456789012345678.0,
+                1e22,  5e-324,    1.7976931348623157e308, 2.5, 365};
+    r.outside = {-0.1, -2.0 / 3.0, 0.0, 1e-5, 1e15, 9007199254740993.0,
+                 1e100, 100.0,     1.0, 0.3,  0};
+    const std::string text = formatResult(r);
+    EXPECT_EQ(0x38423f72u, store::crc32Table(text));
+    EXPECT_EQ(0x38423f72u, store::crc32(text));
+    const std::string body =
+        "site = chad\nsystem = allnd\nresult = 1\npue = 1.08\n";
+    EXPECT_EQ(0xa8e13721u, store::crc32Table(body));
+    EXPECT_EQ(0xa8e13721u, store::crc32(body));
+    if (!store::crc32Folds())
+        GTEST_SKIP() << "no PCLMULQDQ and SSE4.1: crc32 is the table path";
+
+    std::string bytes(4096 + 16, '\0');
+    uint64_t state = 0x13198A2E03707344ull;
+    for (char &c : bytes) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        c = char(state >> 56);
+    }
+    for (size_t start : {0, 1, 7, 15})
+        for (size_t len = 0; len <= 4096; ++len) {
+            const std::string_view v(bytes.data() + start, len);
+            ASSERT_EQ(store::crc32Table(v), store::crc32(v))
+                << start << "+" << len;
+        }
+}
+
 class ResultNumberText : public ::testing::TestWithParam<int>
 {
 };
@@ -469,6 +505,8 @@ TEST_P(ResultNumberText, IsPrintfOnAQuarterOfAMillionSummaries)
     // raw bit patterns (subnormals, infinities and NaNs included) and
     // values shaped like the metrics.  Four shards of 250k make 1M
     // deterministic Summaries, and ctest runs the shards in parallel.
+    // parseResult must read each text back bit for bit; a NaN comes
+    // back as the NaN strtod reads from it, sign included.
     uint64_t state = 0x243F6A8885A308D3ull * uint64_t(GetParam() + 1);
     auto next = [&state] {
         uint64_t z = (state += 0x9E3779B97F4A7C15ull);
@@ -477,12 +515,14 @@ TEST_P(ResultNumberText, IsPrintfOnAQuarterOfAMillionSummaries)
         return z ^ (z >> 31);
     };
     char num[32];
+    std::array<double, 20> nan_read{};
     for (int n = 0; n < 125000; ++n) {
         ExperimentResult r;
         std::string expected = "result = 1\n";
         for (Summary *s : {&r.system, &r.outside}) {
             const char *prefix = s == &r.system ? "system." : "outside.";
             const auto fields = summaryFields(*s);
+            double *nan_of = &nan_read[s == &r.system ? 0 : 10];
             for (size_t f = 0; f < fields.size(); ++f) {
                 const uint64_t bits = next();
                 double v = 0.0;
@@ -506,6 +546,8 @@ TEST_P(ResultNumberText, IsPrintfOnAQuarterOfAMillionSummaries)
                 expected.append(num, size_t(std::snprintf(
                                          num, sizeof(num), "%.17g", v)));
                 expected += '\n';
+                if (std::isnan(v))
+                    nan_of[f] = std::strtod(num, nullptr);
             }
             const uint64_t days = next();
             s->days = size_t(days >> (days % 64));
@@ -515,6 +557,25 @@ TEST_P(ResultNumberText, IsPrintfOnAQuarterOfAMillionSummaries)
             expected += '\n';
         }
         ASSERT_EQ(expected, formatResult(r)) << "result " << n;
+
+        ExperimentResult back = parseResult(expected);
+        for (Summary *s : {&r.system, &r.outside}) {
+            Summary &b = s == &r.system ? back.system : back.outside;
+            const auto want = summaryFields(*s);
+            const auto got = summaryFields(b);
+            const double *nan_of = &nan_read[s == &r.system ? 0 : 10];
+            for (size_t f = 0; f < want.size(); ++f) {
+                if (std::isnan(*want[f])) {
+                    ASSERT_TRUE(std::isnan(*got[f])) << "result " << n;
+                    ASSERT_EQ(std::signbit(nan_of[f]), std::signbit(*got[f]))
+                        << "result " << n;
+                } else {
+                    ASSERT_EQ(0, std::memcmp(want[f], got[f], sizeof(double)))
+                        << "result " << n << " field " << kSummaryKeys[f];
+                }
+            }
+            ASSERT_EQ(s->days, b.days) << "result " << n;
+        }
     }
 }
 

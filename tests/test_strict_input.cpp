@@ -1,6 +1,8 @@
 /**
  * @file
  * Strict-input regression tests for the untrusted-byte boundaries:
+ * the decimal reader behind every spec, payload and CSV number (which
+ * must accept, reject and round exactly as strtod does),
  * weather CSV ingestion (atof silently zeroing garbage cells),
  * environment-variable knobs (atoi accepting typos), the result
  * store's size headers (unchecked digit accumulation wrapping to
@@ -13,10 +15,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -81,6 +87,140 @@ TEST(ParseDouble, RejectsGarbageInfinityAndNan)
     EXPECT_FALSE(util::parseDouble("1e999", v));  // overflows to inf
     EXPECT_FALSE(util::parseDouble("0x10", v));   // hex floats
     EXPECT_FALSE(util::parseDouble(" 1", v));     // leading whitespace
+}
+
+namespace {
+
+/** What util::readDecimal must answer: strtod reading all of a text
+    (spec_io's former parseNumber, with strtod's ERANGE alongside). */
+struct StrtodReading
+{
+    bool ok = false;
+    double value = 0.0;
+    bool rangeError = false;
+};
+
+StrtodReading
+strtodToEnd(const std::string &s)
+{
+    StrtodReading r;
+    if (s.empty())
+        return r;
+    errno = 0;
+    char *end = nullptr;
+    r.value = std::strtod(s.c_str(), &end);
+    r.rangeError = errno == ERANGE;
+    r.ok = end == s.c_str() + s.size();
+    return r;
+}
+
+/** util::parseDouble as it was written on strtod alone. */
+bool
+strtodParseDouble(const std::string &s, double &out)
+{
+    if (s.empty())
+        return false;
+    const char c = s[0];
+    if (!(c == '-' || c == '+' || c == '.' || (c >= '0' && c <= '9')))
+        return false;
+    if (s.find_first_of("xX") != std::string::npos)
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(s.c_str(), &end);
+    if (end != s.c_str() + s.size() || errno == ERANGE)
+        return false;
+    if (!(v == v) || v > std::numeric_limits<double>::max() ||
+        v < -std::numeric_limits<double>::max())
+        return false;
+    out = v;
+    return true;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+/** Both readers against their strtod originals: the same accept or
+    reject, the same bits and the same range flag. */
+void
+expectSameAsStrtod(const std::string &s)
+{
+    const StrtodReading want = strtodToEnd(s);
+    double got = -1.0;
+    bool range_error = !want.rangeError;
+    ASSERT_EQ(want.ok, util::readDecimal(s, got, range_error)) << "'" << s
+                                                               << "'";
+    if (want.ok) {
+        ASSERT_EQ(bitsOf(want.value), bitsOf(got)) << "'" << s << "'";
+        ASSERT_EQ(want.rangeError, range_error) << "'" << s << "'";
+    }
+    double want_d = -1.0, got_d = -1.0;
+    ASSERT_EQ(strtodParseDouble(s, want_d), util::parseDouble(s, got_d))
+        << "'" << s << "'";
+    ASSERT_EQ(bitsOf(want_d), bitsOf(got_d)) << "'" << s << "'";
+}
+
+} // anonymous namespace
+
+TEST(ReadDecimal, EdgeCasesMatchStrtod)
+{
+    for (const char *s :
+         {"+5", "0x1p3", "inf", "-inf", "infinity", "nan", "-nan",
+          "nan(123)", "4.9406564584124654e-324", "2.2250738585072009e-308",
+          "1e-400", "1e999", ".5", "5.", "-0", "0e0", " 1", "1 ", "1.5.2",
+          "-", "",
+          // Around DBL_MIN and DBL_MAX, and zeros with extreme exponents.
+          // "2.2250738585072012e-308" rounds up to DBL_MIN, and strtod
+          // flags it with ERANGE.
+          "2.2250738585072014e-308", "2.22507385850720138e-308",
+          "2.2250738585072012e-308", "-2.2250738585072012e-308",
+          "-2.2250738585072011e-308", "1.7976931348623157e308",
+          "1.7976931348623158e308", "1.7976931348623159e308",
+          "0e-99999999999999999999", "-0.000e99999", "1e", "1e+", "12abc",
+          "0X10", "+.5e-3", "\v1", "1e-0000000000000000000000001",
+          "00000000000000000000000000000000000000000000.25",
+          "123456789012345678901234567890e-10"})
+        expectSameAsStrtod(s);
+}
+
+TEST(ReadDecimal, MillionRandomPrintfTextsMatchStrtod)
+{
+    // The numbers a payload or spec holds: %.17g of raw bit patterns
+    // (subnormals, infinities and NaNs included) and of metric-shaped
+    // values.
+    uint64_t state = 0x452821E638D01377ull;
+    char num[32];
+    for (int n = 0; n < 1000000; ++n) {
+        uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+        const uint64_t bits = z ^ (z >> 31);
+        double v = 0.0;
+        switch (bits % 4) {
+          case 0:
+            std::memcpy(&v, &bits, sizeof(v));
+            break;
+          case 1:
+            v = double(bits >> 11) * 0x1p-53 * 200.0 - 50.0;
+            break;
+          case 2:
+            v = double(int64_t(bits) >> 20);
+            break;
+          default:
+            v = double(int64_t(bits >> 34) - (int64_t(1) << 29)) / 1e4;
+            break;
+        }
+        expectSameAsStrtod(
+            std::string(num, size_t(std::snprintf(num, sizeof(num),
+                                                  "%.17g", v))));
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 TEST(ParseSize, RejectsOverflowInsteadOfWrapping)
