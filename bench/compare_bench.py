@@ -6,22 +6,26 @@ Runs the given bench_micro binary on the regression-gated benchmarks
 (bench/BENCH_micro.json by default), and flags any benchmark whose
 real_time regressed by more than the threshold (15% by default).
 
-On top of the relative check, the lane-batched engine carries an
-absolute throughput gate: the fresh BM_YearRunBatched run must deliver
-at least MIN_BATCH_SPEEDUP x the sim_minutes_per_s of the committed
-scalar BM_YearRun FacebookProfile baseline (the PR 3 reference the
-batched engine was built against).
+On top of the relative check, the lane-batched engine carries a
+same-run speedup gate: in the fresh run itself, the scalar
+BM_YearRunWorld/N must take at least MIN_BATCH_SPEEDUP x the real time
+of BM_YearRunBatched/N, for N = 0 (Baseline) and 1 (All-ND).  Both run
+the same 8 world-shape specs on the same machine, so the ratio needs no
+baseline.  `--same-run` runs just those benchmarks and checks just that
+gate, with no baseline comparison.
 
 Exit status: 0 when every gated benchmark is within the threshold and
-the batched-speedup gate holds, 1 on a regression, 2 on usage / IO
-errors.
+the speedup gates hold, 1 on a regression, 2 on usage / IO errors.
 
 Usage:
     python3 bench/compare_bench.py --bench build/bench/bench_micro
     python3 bench/compare_bench.py --bench build/bench/bench_micro \
         --baseline bench/BENCH_micro.json --threshold 0.15
+    python3 bench/compare_bench.py --bench build/bench/bench_micro \
+        --same-run
 
-Wired as the opt-in `bench`-labelled ctest entry: `ctest -C bench`.
+Wired as the opt-in `bench`-labelled ctest entry: `ctest -C bench`;
+CI runs the `--same-run` gate.
 Regenerate the baseline after an intentional perf change with:
     build/bench/bench_micro --benchmark_filter='BM_YearRun|BM_PlantStep' \
         --benchmark_out=bench/BENCH_micro.json --benchmark_out_format=json
@@ -36,23 +40,23 @@ import sys
 import tempfile
 
 GATED_FILTER = "BM_YearRun|BM_PlantStep"
+SAME_RUN_FILTER = "BM_YearRunWorld|BM_YearRunBatched"
 
-# The tentpole's absolute gate: fresh batched throughput vs the
-# committed scalar baseline it was measured against (PR 3 numbers,
-# preserved in BENCH_micro.json — see its coolair_provenance block).
-# Keys are fresh BM_YearRunBatched entries, values the baseline
-# BM_YearRun {system}/{workload=FacebookProfile} entries.
-MIN_BATCH_SPEEDUP = 4.0
+# The lane-batched engine's gate, read within one fresh run: the scalar
+# oracle's real time over the batched engine's on the same 8 specs.
+# Keys are BM_YearRunBatched entries, values their BM_YearRunWorld
+# counterparts.
+MIN_BATCH_SPEEDUP = 2.0
+BATCH_SPEEDUP_PAIRS = {
+    "BM_YearRunBatched/0": "BM_YearRunWorld/0",
+    "BM_YearRunBatched/1": "BM_YearRunWorld/1",
+}
 
 # The serve-layer counterpart (ISSUE 10): cross-request coalescing must
 # keep delivering at least this many x the solo cold throughput in
 # bench_serve's cold-heavy scenario.  Read from the fresh run's own
 # A/B ratio, so the gate needs no baseline entry.
 MIN_COALESCE_SPEEDUP = 2.0
-BATCH_SPEEDUP_PAIRS = {
-    "BM_YearRunBatched/0": "BM_YearRun/0/1",
-    "BM_YearRunBatched/1": "BM_YearRun/1/1",
-}
 
 
 def load_doc(path):
@@ -72,45 +76,30 @@ def benchmarks_of(doc):
     return out
 
 
-def sim_rates_of(doc):
-    """name -> sim_minutes_per_s for entries that carry the counter."""
-    out = {}
-    for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        if "sim_minutes_per_s" in b:
-            out[b["name"]] = float(b["sim_minutes_per_s"])
-    return out
+def check_batch_speedup(fresh_doc):
+    """The same-run >= MIN_BATCH_SPEEDUP x gate; returns violations.
 
-
-def check_batch_speedup(baseline_doc, fresh_doc):
-    """The >= MIN_BATCH_SPEEDUP x gate; returns a list of violations."""
-    base_rates = sim_rates_of(baseline_doc)
-    fresh_rates = sim_rates_of(fresh_doc)
+    Skips itself for binaries that never emit the pair (bench_serve
+    has no engine benchmarks).
+    """
+    times = benchmarks_of(fresh_doc)
     violations = []
     for batched, scalar in sorted(BATCH_SPEEDUP_PAIRS.items()):
-        base = base_rates.get(scalar)
-        fresh = fresh_rates.get(batched)
-        if base is None:
-            # The baseline does not track this pair at all (e.g. the
-            # serve-layer baseline, which has no engine benchmarks) —
-            # the gate belongs to a different bench binary, skip it.
+        if batched not in times and scalar not in times:
             print(f"batch speedup: skipping {batched} gate "
-                  f"(baseline has no {scalar})")
+                  f"(fresh run has neither it nor {scalar})")
             continue
-        if fresh is None:
-            # A vanished batched benchmark is already reported as
-            # MISSING by the real_time comparison once committed; only
-            # complain here if the fresh run never produced the rate.
-            violations.append((batched, "no fresh sim_minutes_per_s"))
+        if batched not in times or scalar not in times:
+            violations.append((batched, f"fresh run lacks {batched} "
+                                        f"or {scalar}"))
             continue
-        ratio = fresh / base
-        print(f"batch speedup: {batched} {fresh:,.0f} sim-min/s vs "
-              f"{scalar} baseline {base:,.0f} = {ratio:.2f}x "
+        ratio = times[scalar] / times[batched]
+        print(f"batch speedup: {scalar} {times[scalar]:,.1f} vs "
+              f"{batched} {times[batched]:,.1f} real time = {ratio:.2f}x "
               f"(gate {MIN_BATCH_SPEEDUP:.1f}x)")
         if ratio < MIN_BATCH_SPEEDUP:
             violations.append(
-                (batched, f"only {ratio:.2f}x vs {scalar} baseline "
+                (batched, f"only {ratio:.2f}x the same-run {scalar} "
                           f"(need {MIN_BATCH_SPEEDUP:.1f}x)"))
     return violations
 
@@ -181,6 +170,40 @@ def warn_on_context_mismatch(baseline_doc, fresh_doc):
     print(banner, file=sys.stderr)
 
 
+def run_bench(bench, bench_filter):
+    """Run @bench on @bench_filter; the fresh JSON document, or None."""
+    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
+        fresh_path = tmp.name
+    try:
+        cmd = [bench,
+               f"--benchmark_filter={bench_filter}",
+               f"--benchmark_out={fresh_path}",
+               "--benchmark_out_format=json"]
+        proc = subprocess.run(cmd)
+        if proc.returncode != 0:
+            print(f"compare_bench: bench run failed ({proc.returncode})",
+                  file=sys.stderr)
+            return None
+        return load_doc(fresh_path)
+    finally:
+        try:
+            os.unlink(fresh_path)
+        except OSError:
+            pass
+
+
+def report(regressions, ok_message):
+    """Print the verdict; the exit status."""
+    if regressions:
+        print(f"\ncompare_bench: {len(regressions)} regression(s):",
+              file=sys.stderr)
+        for name, why in regressions:
+            print(f"  {name}: {why}", file=sys.stderr)
+        return 1
+    print(f"\ncompare_bench: {ok_message}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bench", required=True,
@@ -195,7 +218,18 @@ def main():
                          "(default 0.15 = 15%%)")
     ap.add_argument("--filter", default=GATED_FILTER,
                     help="benchmark_filter regex for the gated set")
+    ap.add_argument("--same-run", action="store_true",
+                    help="run only the batched and scalar world-shape "
+                         "benchmarks and check only their same-run "
+                         "speedup gate (no baseline)")
     args = ap.parse_args()
+
+    if args.same_run:
+        fresh_doc = run_bench(args.bench, SAME_RUN_FILTER)
+        if fresh_doc is None:
+            return 2
+        return report(check_batch_speedup(fresh_doc),
+                      "the same-run batch speedup gate holds")
 
     try:
         baseline_doc = load_doc(args.baseline)
@@ -208,25 +242,10 @@ def main():
               file=sys.stderr)
         return 2
 
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        fresh_path = tmp.name
-    try:
-        cmd = [args.bench,
-               f"--benchmark_filter={args.filter}",
-               f"--benchmark_out={fresh_path}",
-               "--benchmark_out_format=json"]
-        proc = subprocess.run(cmd)
-        if proc.returncode != 0:
-            print(f"compare_bench: bench run failed ({proc.returncode})",
-                  file=sys.stderr)
-            return 2
-        fresh_doc = load_doc(fresh_path)
-        fresh = benchmarks_of(fresh_doc)
-    finally:
-        try:
-            os.unlink(fresh_path)
-        except OSError:
-            pass
+    fresh_doc = run_bench(args.bench, args.filter)
+    if fresh_doc is None:
+        return 2
+    fresh = benchmarks_of(fresh_doc)
 
     warn_on_context_mismatch(baseline_doc, fresh_doc)
 
@@ -267,18 +286,11 @@ def main():
               " |")
 
     print()
-    regressions += check_batch_speedup(baseline_doc, fresh_doc)
+    regressions += check_batch_speedup(fresh_doc)
     regressions += check_coalesce_speedup(fresh_doc)
-
-    if regressions:
-        print(f"\ncompare_bench: {len(regressions)} regression(s):",
-              file=sys.stderr)
-        for name, why in regressions:
-            print(f"  {name}: {why}", file=sys.stderr)
-        return 1
-    print(f"\ncompare_bench: all benchmarks within {args.threshold:.0%} "
-          "of baseline and the speedup gates hold")
-    return 0
+    return report(regressions,
+                  f"all benchmarks within {args.threshold:.0%} of "
+                  "baseline and the speedup gates hold")
 
 
 if __name__ == "__main__":
