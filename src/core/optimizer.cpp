@@ -1,7 +1,5 @@
 #include "core/optimizer.hpp"
 
-#include <limits>
-
 #include "util/logging.hpp"
 
 namespace coolair {
@@ -71,9 +69,6 @@ CoolingOptimizer::select(const CoolingPredictor &predictor,
         _planHorizon = predictor.horizonSteps();
     }
 
-    OptimizerDecision best;
-    bool have_best = false;
-
     const cooling::RegimeClass current_cls =
         cooling::classify(state.currentRegime);
 
@@ -82,17 +77,11 @@ CoolingOptimizer::select(const CoolingPredictor &predictor,
     sc.band = &band;
     sc.utility = &_utility;
 
-    for (size_t c = 0; c < _plan.size(); ++c) {
-        const cooling::Regime &candidate = _menu.candidates[c];
+    auto score = [&](size_t c, double at, CandidateScore &cs) {
         const PlannedCandidate &pc = _plan[c];
         sc.switchTerm =
             pc.cls != current_cls ? _utility.switchPenalty : 0.0;
-        // A candidate only beats (or ties) the incumbent when its score
-        // is below best.score + 1e-9, so one whose score provably
-        // reaches that can be dropped without changing the decision.
-        sc.abandonAtScore =
-            have_best ? best.score + 1e-9
-                      : std::numeric_limits<double>::infinity();
+        sc.abandonAtScore = at;
         // The static floor: the score with a zero penalty, in the
         // score's own association.  The penalty is non-negative and
         // rounding is monotone, so the floor never exceeds the score.
@@ -101,53 +90,39 @@ CoolingOptimizer::select(const CoolingPredictor &predictor,
             floor += _utility.energyWeightPerKwh *
                      (traj ? pc.energyKwh : pc.laneEnergyKwh);
         floor += sc.switchTerm;
-        if (floor >= sc.abandonAtScore) {
+        if (floor >= at) {
             predictor.noteScreened();
-            continue;
+            return false;
         }
+        if (!traj)
+            return predictor.scoreLane(pc, floor, at, cs);
+        if (!predictor.predictScoredInto(state, _menu.candidates[c],
+                                         outlook, sc, *traj, cs.penalty))
+            return false;
+        cs.energyKwh = traj->coolingEnergyKwh;
+        cs.score = cs.penalty;
+        if (_utility.energyAware)
+            cs.score += _utility.energyWeightPerKwh * cs.energyKwh;
+        cs.score += sc.switchTerm;
+        return true;
+    };
+    auto incumbent = [&](size_t c) {
+        return _menu.candidates[c] == state.currentRegime;
+    };
 
-        CandidateScore cs;
-        if (traj) {
-            if (!predictor.predictScoredInto(state, candidate, outlook, sc,
-                                             *traj, cs.penalty))
-                continue;
-            cs.energyKwh = traj->coolingEnergyKwh;
-            cs.score = cs.penalty;
-            if (_utility.energyAware)
-                cs.score += _utility.energyWeightPerKwh * cs.energyKwh;
-            cs.score += sc.switchTerm;
-        } else if (!predictor.scoreLane(pc, floor, sc.abandonAtScore, cs)) {
-            continue;
-        }
+    const size_t n = _plan.size();
+    size_t seed = 0;
+    while (seed < n && !incumbent(seed))
+        ++seed;
+    CandidateScore cs;
+    const size_t win = walkMenu(n, seed, incumbent, score, cs);
 
-        bool better;
-        if (!have_best) {
-            better = true;
-        } else if (cs.score < best.score - 1e-9) {
-            better = true;
-        } else if (cs.score < best.score + 1e-9) {
-            // Tie: prefer the incumbent regime (stability), then the
-            // cheaper candidate.
-            bool cand_incumbent = candidate == state.currentRegime;
-            bool best_incumbent = best.regime == state.currentRegime;
-            if (cand_incumbent && !best_incumbent)
-                better = true;
-            else if (cand_incumbent == best_incumbent &&
-                     cs.energyKwh < best.energyKwh - 1e-12)
-                better = true;
-            else
-                better = false;
-        } else {
-            better = false;
-        }
-
-        if (better) {
-            best.regime = candidate;
-            best.penalty = cs.penalty;
-            best.energyKwh = cs.energyKwh;
-            best.score = cs.score;
-            have_best = true;
-        }
+    OptimizerDecision best;
+    if (win < n) {
+        best.regime = _menu.candidates[win];
+        best.penalty = cs.penalty;
+        best.energyKwh = cs.energyKwh;
+        best.score = cs.score;
     }
     return best;
 }
