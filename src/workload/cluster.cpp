@@ -57,8 +57,8 @@ ClusterSim::setTrace(Trace trace)
 void
 ClusterSim::applyPlan(const ComputePlan &plan)
 {
+    _preferenceDirty = _preferenceDirty || plan.podOrder != _plan.podOrder;
     _plan = plan;
-    _preferenceDirty = true;
     _planManages = _plan.manageServerStates ||
                    !std::all_of(_plan.hourAllowed.begin(),
                                 _plan.hourAllowed.end(),

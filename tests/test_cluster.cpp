@@ -155,6 +155,39 @@ TEST(ClusterSim, PodOrderFillsPreferredPodsFirst)
     EXPECT_GE(load.utilization[7], load.utilization[0]);
 }
 
+TEST(ClusterSim, PlacementFollowsPodOrderChangesOnly)
+{
+    // Twin clusters: `once` gets each plan a single time, `every` gets
+    // an equal copy every control epoch.  Plans that keep the pod order
+    // must not move placement, and a new order must take over.
+    ComputePlan plan = ComputePlan::passthrough();
+    ClusterSim once({}, steadyTrace(0.15, {}));
+    ClusterSim every({}, steadyTrace(0.15, {}));
+    auto run = [&](int64_t from, int64_t to) {
+        once.applyPlan(plan);
+        for (int64_t t = from; t < to; t += 30) {
+            if (t % 600 == 0)
+                every.applyPlan(ComputePlan(plan));
+            once.step(SimTime(t), 30.0);
+            every.step(SimTime(t), 30.0);
+            const plant::PodLoad a = once.podLoad();
+            const plant::PodLoad b = every.podLoad();
+            ASSERT_EQ(a.activeServers, b.activeServers) << "t = " << t;
+            ASSERT_EQ(a.utilization, b.utilization) << "t = " << t;
+        }
+    };
+
+    plan.podOrder = {7, 6, 5, 4, 3, 2, 1, 0};
+    run(0, 7200);
+    plant::PodLoad load = every.podLoad();
+    EXPECT_GT(load.utilization[7], load.utilization[0]);
+
+    plan.podOrder = {0, 1, 2, 3, 4, 5, 6, 7};
+    run(7200, 4 * 3600);
+    load = every.podLoad();
+    EXPECT_GT(load.utilization[0], load.utilization[7]);
+}
+
 TEST(ClusterSim, DeferralHonorsHourMaskAndDeadline)
 {
     Trace t = tinyTrace();
