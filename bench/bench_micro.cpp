@@ -2,9 +2,10 @@
  * @file
  * Microbenchmarks (google-benchmark) for the performance-critical
  * building blocks: plant physics stepping, model prediction rollout,
- * regression fitting, the cluster simulator, the weather cache, and
- * the result store's warm read path (cache identity, entry lookup and
- * CRC, result text, hot-cache hit, wire framing).
+ * the CoolAir control epoch, regression fitting, the cluster simulator,
+ * the weather cache, and the result store's warm read path (cache
+ * identity, entry lookup and CRC, result text, hot-cache hit, wire
+ * framing).
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/coolair.hpp"
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
 #include "environment/forecast.hpp"
@@ -184,6 +186,112 @@ BM_OptimizerChooseBatched(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OptimizerChooseBatched);
+
+/** Forwards to @p inner and keeps the inputs of every control() call. */
+class RecordingController : public sim::Controller
+{
+  public:
+    struct Epoch
+    {
+        plant::SensorReadings sensors;
+        workload::WorkloadStatus status;
+        plant::PodLoad load;
+        util::SimTime now;
+    };
+
+    explicit RecordingController(std::unique_ptr<sim::Controller> inner)
+        : _inner(std::move(inner))
+    {
+    }
+
+    sim::ControlDecision control(const plant::SensorReadings &sensors,
+                                 const workload::WorkloadStatus &status,
+                                 const plant::PodLoad &load,
+                                 util::SimTime now) override
+    {
+        epochs.push_back({sensors, status, load, now});
+        return _inner->control(sensors, status, load, now);
+    }
+
+    int64_t epochS() const override { return _inner->epochS(); }
+    const char *name() const override { return _inner->name(); }
+
+    std::vector<Epoch> epochs;
+
+  private:
+    std::unique_ptr<sim::Controller> _inner;
+};
+
+/** The control() inputs of one Newark All-ND day on the task-level
+    Facebook workload (year-scalar's system), warm-up included. */
+struct EpochTape
+{
+    sim::ExperimentSpec spec;
+    std::unique_ptr<environment::Climate> climate;
+    std::vector<RecordingController::Epoch> epochs;
+};
+
+const EpochTape &
+coolairDayTape()
+{
+    static const EpochTape tape = [] {
+        EpochTape t;
+        t.spec.location =
+            environment::namedLocation(environment::NamedSite::Newark);
+        t.spec.system = sim::SystemId::AllNd;
+        t.spec.runKind = sim::RunKind::SingleDay;
+        sim::prewarmSharedState({t.spec});
+        t.climate = std::make_unique<environment::Climate>(
+            t.spec.location.makeClimate(t.spec.seed));
+        environment::Forecaster forecaster(*t.climate, t.spec.forecastError,
+                                           t.spec.seed);
+        auto recorder = std::make_unique<RecordingController>(
+            sim::makeController(t.spec, &forecaster));
+        RecordingController *rec = recorder.get();
+        auto scenario = sim::ScenarioBuilder(t.spec)
+                            .withController(std::move(recorder))
+                            .build();
+        scenario->run();
+        t.epochs = std::move(rec->epochs);
+        return t;
+    }();
+    return tape;
+}
+
+/**
+ * The day's recorded epochs replayed in order through a fresh CoolAir,
+ * time per epoch.  Arg: candidate instance (0 = strict predictScoredInto,
+ * 1 = lane scorer).  Unlike the optimizer benches' synthetic state, these
+ * are the epochs a year run decides.
+ */
+void
+BM_CoolAirEpochReplay(benchmark::State &state)
+{
+    const EpochTape &tape = coolairDayTape();
+    std::unique_ptr<environment::Forecaster> forecaster;
+    std::unique_ptr<core::CoolAir> coolair;
+    size_t next = tape.epochs.size();
+    for (auto _ : state) {
+        if (next == tape.epochs.size()) {
+            state.PauseTiming();
+            coolair.reset();
+            forecaster = std::make_unique<environment::Forecaster>(
+                *tape.climate, tape.spec.forecastError, tape.spec.seed);
+            coolair = std::make_unique<core::CoolAir>(
+                sim::coolairConfigFor(tape.spec), sim::bundleFor(tape.spec),
+                forecaster.get());
+            coolair->setBatchedCandidates(state.range(0) != 0);
+            next = 0;
+            state.ResumeTiming();
+        }
+        const RecordingController::Epoch &e = tape.epochs[next++];
+        core::CoolAir::Decision d =
+            coolair->control(e.sensors, e.status, e.load, e.now);
+        benchmark::DoNotOptimize(d.regime);
+    }
+    state.counters["epochs_per_day"] = double(tape.epochs.size());
+}
+BENCHMARK(BM_CoolAirEpochReplay)->Arg(0)->Arg(1);
 
 void
 BM_RidgeFit(benchmark::State &state)
