@@ -4,7 +4,10 @@
 Runs the given bench_micro binary on the regression-gated benchmarks
 (BM_YearRun*, BM_PlantStep), loads the committed baseline
 (bench/BENCH_micro.json by default), and flags any benchmark whose
-real_time regressed by more than the threshold (15% by default).
+real_time regressed by more than the threshold (15% by default).  Each
+entry's real_time is in its own time_unit (BM_YearRun* report ms), so
+both sides are converted to nanoseconds before the delta, and the table
+prints every value with its unit.
 
 On top of the relative check, the lane-batched engine carries a
 same-run speedup gate: in the fresh run itself, the scalar
@@ -58,6 +61,9 @@ BATCH_SPEEDUP_PAIRS = {
 # A/B ratio, so the gate needs no baseline entry.
 MIN_COALESCE_SPEEDUP = 2.0
 
+# google-benchmark's time_unit values, in nanoseconds.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 
 def load_doc(path):
     """The full benchmark JSON document (benchmarks + context)."""
@@ -66,14 +72,29 @@ def load_doc(path):
 
 
 def benchmarks_of(doc):
-    """name -> real_time for aggregate-free benchmark entries."""
+    """name -> (real_time, time_unit) for aggregate-free entries."""
     out = {}
     for b in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if repetitions were on.
         if b.get("run_type") == "aggregate":
             continue
-        out[b["name"]] = float(b["real_time"])
+        unit = b.get("time_unit", "ns")
+        if unit not in NS_PER_UNIT:
+            raise ValueError(f"{b['name']}: unknown time_unit {unit!r}")
+        out[b["name"]] = (float(b["real_time"]), unit)
     return out
+
+
+def ns(entry):
+    """A (real_time, time_unit) entry in nanoseconds."""
+    value, unit = entry
+    return value * NS_PER_UNIT[unit]
+
+
+def shown(entry):
+    """A (real_time, time_unit) entry as printed, with its unit."""
+    value, unit = entry
+    return f"{value:,.1f} {unit}"
 
 
 def check_batch_speedup(fresh_doc):
@@ -93,10 +114,10 @@ def check_batch_speedup(fresh_doc):
             violations.append((batched, f"fresh run lacks {batched} "
                                         f"or {scalar}"))
             continue
-        ratio = times[scalar] / times[batched]
-        print(f"batch speedup: {scalar} {times[scalar]:,.1f} vs "
-              f"{batched} {times[batched]:,.1f} real time = {ratio:.2f}x "
-              f"(gate {MIN_BATCH_SPEEDUP:.1f}x)")
+        ratio = ns(times[scalar]) / ns(times[batched])
+        print(f"batch speedup: {scalar} {shown(times[scalar])} vs "
+              f"{batched} {shown(times[batched])} real time = "
+              f"{ratio:.2f}x (gate {MIN_BATCH_SPEEDUP:.1f}x)")
         if ratio < MIN_BATCH_SPEEDUP:
             violations.append(
                 (batched, f"only {ratio:.2f}x the same-run {scalar} "
@@ -233,10 +254,10 @@ def main():
 
     try:
         baseline_doc = load_doc(args.baseline)
+        baseline = benchmarks_of(baseline_doc)
     except (OSError, ValueError) as e:
         print(f"compare_bench: cannot load baseline: {e}", file=sys.stderr)
         return 2
-    baseline = benchmarks_of(baseline_doc)
     if not baseline:
         print("compare_bench: baseline has no benchmark entries",
               file=sys.stderr)
@@ -259,22 +280,21 @@ def main():
         base_t = baseline.get(name)
         new_t = fresh.get(name)
         if base_t is None:
-            rows.append((name, "-", f"{new_t:.1f}", "-", "new"))
+            rows.append((name, "-", shown(new_t), "-", "new"))
             continue
         if new_t is None:
-            rows.append((name, f"{base_t:.1f}", "-", "-", "MISSING"))
+            rows.append((name, shown(base_t), "-", "-", "MISSING"))
             regressions.append((name, "missing from fresh run"))
             continue
-        delta = (new_t - base_t) / base_t
+        delta = (ns(new_t) - ns(base_t)) / ns(base_t)
         status = "ok"
         if delta > args.threshold:
             status = "**REGRESSION**"
             regressions.append((name, f"{delta:+.1%}"))
-        rows.append((name, f"{base_t:.1f}", f"{new_t:.1f}",
+        rows.append((name, shown(base_t), shown(new_t),
                      f"{delta:+.1%}", status))
 
-    headers = ("benchmark", "baseline [ns]", "current [ns]", "delta",
-               "status")
+    headers = ("benchmark", "baseline", "current", "delta", "status")
     widths = [max(len(headers[c]), max((len(r[c]) for r in rows),
                                        default=0))
               for c in range(len(headers))]
