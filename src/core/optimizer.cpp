@@ -45,7 +45,6 @@ CoolingOptimizer::chooseBatched(const CoolingPredictor &predictor,
                                 const std::vector<int> &activePods,
                                 const TemperatureBand &band) const
 {
-    predictor.beginLanes(state, outlook, activePods, band, _utility);
     return select(predictor, state, outlook, activePods, band, nullptr);
 }
 
@@ -72,9 +71,15 @@ CoolingOptimizer::select(const CoolingPredictor &predictor,
     const cooling::RegimeClass current_cls =
         cooling::classify(state.currentRegime);
 
+    // One set of penalty weights for the epoch, shared by both instances.
+    const PenaltyWeights weights =
+        penaltyWeights(_utility, band, model.config().stepS / 3600.0);
+    if (!traj)
+        predictor.beginLanes(state, outlook, activePods, weights);
+
     ScoreContext sc;
     sc.activePods = &activePods;
-    sc.band = &band;
+    sc.weights = &weights;
     sc.utility = &_utility;
 
     auto score = [&](size_t c, double at, CandidateScore &cs) {

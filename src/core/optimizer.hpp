@@ -169,7 +169,8 @@ class CoolingOptimizer
      * with the first incumbent candidate.  A candidate whose static
      * floor (its score with a zero penalty) reaches its threshold is
      * skipped, the rest roll out with that bound, by predictScoredInto()
-     * into @p traj or by the lane scorer when @p traj is null.
+     * into @p traj or by the lane scorer when @p traj is null.  Either
+     * instance charges the epoch's one penaltyWeights().
      */
     OptimizerDecision select(const CoolingPredictor &predictor,
                              const PredictorState &state,
