@@ -2,15 +2,19 @@
 
 #include <cmath>
 
+#include "environment/climate_equations.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace coolair {
 namespace environment {
 
 namespace {
 
-constexpr double kTwoPi = 2.0 * M_PI;
+/** The strict instance of climate_equations.hpp: one point. */
+struct StrictMode
+{
+    static constexpr int points(int) { return 1; }
+};
 
 } // anonymous namespace
 
@@ -57,88 +61,21 @@ Climate::Climate(const ClimateParams &params, uint64_t seed)
 }
 
 double
-Climate::smoothTemperature(util::SimTime t) const
-{
-    double peak_day = _params.seasonalPeakDay;
-    if (_params.southernHemisphere)
-        peak_day = std::fmod(peak_day + 182.5, 365.0);
-
-    // Use fractional day so the seasonal term is continuous across
-    // midnight (no 0.1 °C jumps at day boundaries).
-    double day = t.days();
-    double seasonal = _params.seasonalAmplitudeC *
-        std::cos(kTwoPi * (day - peak_day) / double(util::kDaysPerYear));
-
-    double hour = t.fractionalHourOfDay();
-    double diurnal = _params.diurnalAmplitudeC * diurnalModulation(day) *
-        std::cos(kTwoPi * (hour - _params.diurnalPeakHour) / 24.0);
-
-    return _params.annualMeanC + seasonal + diurnal;
-}
-
-double
-Climate::diurnalModulation(double day) const
-{
-    double sum = 0.0;
-    double weight = 0.0;
-    for (const auto &s : _diurnalModBank) {
-        sum += s.amplitude * std::sin(kTwoPi * day / s.periodDays + s.phase);
-        weight += s.amplitude;
-    }
-    return 1.0 + 0.55 * (sum / weight);
-}
-
-double
-Climate::synoptic(util::SimTime t) const
-{
-    double day = t.days();
-    double sum = 0.0;
-    for (const auto &s : _bank)
-        sum += s.amplitude * std::sin(kTwoPi * day / s.periodDays + s.phase);
-    // The bank's weighted sum has RMS < 1; scale to the configured
-    // amplitude so the typical excursion matches synopticAmplitudeC.
-    return 1.8 * _params.synopticAmplitudeC * sum;
-}
-
-double
 Climate::temperature(util::SimTime t) const
 {
-    return smoothTemperature(t) + synoptic(t);
-}
-
-double
-Climate::depressionAt(util::SimTime t) const
-{
-    double day = t.days();
-    double sum = 0.0;
-    for (const auto &s : _humidityBank)
-        sum += s.amplitude * std::sin(kTwoPi * day / s.periodDays + s.phase);
-    double depression =
-        _params.dewPointDepressionC + 1.6 * _params.dewPointVariabilityC * sum;
-    // Dew point can touch but not exceed the air temperature.
-    return std::max(0.0, depression);
-}
-
-double
-Climate::dewPointAt(util::SimTime t) const
-{
-    return temperature(t) - depressionAt(t);
+    double scratch[kScratchArrays];
+    double temp;
+    evaluate<StrictMode>(t, 0, 1, scratch, &temp, nullptr, nullptr);
+    return temp;
 }
 
 WeatherSample
 Climate::sample(util::SimTime t) const
 {
+    double scratch[kScratchArrays];
     WeatherSample out;
-    // temperature(t) is pure, so evaluate the sinusoid banks once and
-    // derive the dew point from the same value instead of paying a
-    // second smoothTemperature + synoptic pass through dewPointAt().
-    out.tempC = temperature(t);
-    double dew = out.tempC - depressionAt(t);
-    // RH from dew point: ratio of saturation pressures.
-    double rh = 100.0 * physics::saturationVaporPressure(dew) /
-                physics::saturationVaporPressure(out.tempC);
-    out.rhPercent = util::clamp(rh, 1.0, 100.0);
-    out.absHumidity = physics::absoluteHumidity(out.tempC, out.rhPercent);
+    evaluate<StrictMode>(t, 0, 1, scratch, &out.tempC, &out.rhPercent,
+                         &out.absHumidity);
     return out;
 }
 

@@ -110,18 +110,9 @@ class Climate : public WeatherProvider
      */
     Climate(const ClimateParams &params, uint64_t seed);
 
-    /** Outside dry-bulb temperature [°C] at @p t. */
+    /** Outside dry-bulb temperature [°C] at @p t: sample(t).tempC,
+        without the humidity half. */
     double temperature(util::SimTime t) const override;
-
-    /**
-     * Smooth (seasonal + diurnal only) temperature at @p t — the
-     * climatological expectation without synoptic weather.  Used by tests
-     * and by biased forecasts.
-     */
-    double smoothTemperature(util::SimTime t) const;
-
-    /** Outside dew point [°C] at @p t (always <= temperature). */
-    double dewPointAt(util::SimTime t) const;
 
     /** Full weather observation at @p t. */
     WeatherSample sample(util::SimTime t) const override;
@@ -129,10 +120,9 @@ class Climate : public WeatherProvider
     /**
      * Evaluate @p n grid points starting at @p start with spacing
      * @p step_s into @p out (vectors are resized; prior contents
-     * dropped).  Matches sample() at every grid point up to the
-     * last-few-ulps drift of the kernel TU's fast-math build (see
-     * DESIGN.md §10); implemented in climate_kernels.cpp with the
-     * sinusoid banks walked time-inner so the loops vectorize.
+     * dropped).  The same arithmetic as sample(), built fast-math in
+     * climate_kernels.cpp, so each point matches sample() up to the
+     * last few ulps (see DESIGN.md §10).
      */
     void sampleGridInto(util::SimTime start, int64_t step_s, int n,
                         WeatherGrid &out) const;
@@ -154,9 +144,20 @@ class Climate : public WeatherProvider
         double amplitude;   // relative weight, sums to ~1 over the bank
     };
 
-    double synoptic(util::SimTime t) const;
-    double depressionAt(util::SimTime t) const;
-    double diurnalModulation(double day) const;
+    /** Scratch arrays evaluate() uses, each one double per point. */
+    static constexpr int kScratchArrays = 8;
+
+    /**
+     * The climate at @p n points from @p start, @p step_s apart, into
+     * @p temp and, unless @p rh is null, @p rh and @p abs; @p scratch
+     * holds kScratchArrays x n doubles.  Written once in
+     * climate_equations.hpp and instantiated on each including TU's own
+     * Mode.
+     */
+    template <class Mode>
+    void evaluate(util::SimTime start, int64_t step_s, int n,
+                  double *scratch, double *temp, double *rh,
+                  double *abs) const;
 
     ClimateParams _params;
     std::array<Sinusoid, kSynopticBankSize> _bank;

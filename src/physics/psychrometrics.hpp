@@ -32,11 +32,11 @@ inline constexpr double kMagnusC = 610.94;   // [Pa]
 inline constexpr double kVaporGasConstant = 461.5;
 
 // The Magnus-Tetens relations, written once.  The scalar functions
-// below and the lane-wise kernels (psychrometrics_kernels.cpp, the
-// batched plant) all evaluate these.  They are static so that every
-// translation unit compiles its own copy with its own flags: the
-// fast-math kernel TUs must not hand their code to the strict ones
-// through a shared inline symbol (DESIGN.md §10).
+// below, both climate instances and both plant instances all evaluate
+// these.  They are static so that every translation unit compiles its
+// own copy with its own flags: the fast-math kernel TUs must not hand
+// their code to the strict ones through a shared inline symbol
+// (DESIGN.md §10).
 
 /** Saturation vapor pressure [Pa] at @p temp_c [°C]. */
 static inline double
@@ -132,20 +132,6 @@ AirState mix(const AirState &a, const AirState &b, double frac_a);
  * @p heat_joules of heat (negative to cool).
  */
 double heatAirMass(double temp_c, double volume_m3, double heat_joules);
-
-/**
- * Lane-wise forms of the hot transforms, for the batched (SoA)
- * execution path: the relations above element-wise over @p n lanes,
- * from a translation unit built with the vectorizer-friendly
- * COOLAIR_KERNEL_OPTIONS flags (-ffast-math on the kernel TU only), so
- * results may differ from the scalar functions in the last few ulps —
- * see DESIGN.md §10 for the tolerance contract.  Input and output
- * arrays may not alias unless they are identical (in-place use is
- * allowed).
- */
-
-/** Lane-wise saturationVaporPressure: out[i] = svp(temp_c[i]). */
-void saturationVaporPressureN(const double *temp_c, double *out, int n);
 
 } // namespace physics
 } // namespace coolair

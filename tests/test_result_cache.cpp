@@ -397,11 +397,11 @@ TEST_F(ResultCacheTest, StoreKeysOfBothIdsArePinned)
 {
     // Pinned under the shipped salt and format version: bumping either
     // must fail here, and re-recording these keys is part of the bump.
-    EXPECT_STREQ("coolair-sim-5", kResultCacheSalt);
+    EXPECT_STREQ("coolair-sim-6", kResultCacheSalt);
     EXPECT_EQ(1, kResultFormatVersion);
     store::ResultStore st = openResultStore(dir);
-    EXPECT_EQ("271e4cb4bc96eaad67c3505ba1a0eb46", st.keyFor(kNamedSiteId));
-    EXPECT_EQ("9392693b1665337701cdcfacd2f6b969", st.keyFor(kWorldGridId));
+    EXPECT_EQ("dff189883bdcb23cfc49b0796d2d0a75", st.keyFor(kNamedSiteId));
+    EXPECT_EQ("50878456a48e55953c61f8498372f8e2", st.keyFor(kWorldGridId));
 }
 
 TEST(StoreIdentity, AwkwardResultTextAndCrcArePinned)
