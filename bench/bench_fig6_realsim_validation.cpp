@@ -66,9 +66,9 @@ runRealSimDay(const sim::ExperimentSpec &spec)
     DayResult out;
     sim::ModelSimScenario ms = sim::buildModelSimScenario(spec);
     int step_idx = 0;
-    ms.runner->setSampleHook([&](const plant::SensorReadings &s) {
+    ms.runner->setTraceSink([&](const sim::TraceRow &r) {
         if (step_idx++ % 5 == 0)  // every 10 minutes at the 2-min step
-            out.maxInletByInterval.push_back(s.maxPodInletC());
+            out.maxInletByInterval.push_back(r.inletMaxC);
     });
 
     // Start Real-Sim from the physics plant's state at the same instant,

@@ -30,6 +30,7 @@
 #include "environment/forecast.hpp"
 #include "environment/weather.hpp"
 #include "sim/controller.hpp"
+#include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "workload/cluster.hpp"
@@ -61,11 +62,9 @@ struct MultiZoneConfig
     /** Per-zone cluster configuration. */
     workload::ClusterConfig clusterConfig;
 
-    /** Physics step [s]. */
+    /** Physics step [s]; sensors are sampled every max(60 s, step), as
+        sim::engineConfigFor derives it. */
     double physicsStepS = 30.0;
-
-    /** Sensor sampling / metrics interval [s]. */
-    int64_t sampleIntervalS = 60;
 
     uint64_t seed = 11;
 };
@@ -81,16 +80,16 @@ struct Zone
     std::unique_ptr<sim::Controller> controller;
     std::unique_ptr<sim::MetricsCollector> metrics;
 
-    cooling::Regime command = cooling::Regime::closed();
-    int64_t nextControlS = 0;
     int64_t jobsAssigned = 0;
 };
 
 /**
  * Runs N zones in lockstep against one climate, splitting a shared job
- * stream across them.
+ * stream across them: sim::Timeline at one lane per zone, over the
+ * zones' own components.  The jobs due at a step are dispatched before
+ * any zone samples or steps there.
  */
-class MultiZoneEngine
+class MultiZoneEngine : private sim::Timeline
 {
   public:
     /**
@@ -130,12 +129,23 @@ class MultiZoneEngine
     sim::Summary aggregateSummary() const;
 
   private:
+    void beginStep(int64_t t_s) override;
+    void startPlants(int64_t warm_start_s) override;
+    void readSensors() override;
+    void stepPlants(double dt_s) override;
+
     int pickZone(const workload::Job &job);
 
     MultiZoneConfig _config;
     const environment::WeatherProvider &_climate;
     std::vector<Zone> _zones;
     int _rrNext = 0;
+
+    // The day being run: its start and its jobs by submission time,
+    // _nextJob the first not yet dispatched.
+    int64_t _dayStartS = 0;
+    std::vector<workload::Job> _jobs;
+    size_t _nextJob = 0;
 };
 
 /**
@@ -158,8 +168,8 @@ struct MultiZoneScenario
  * Build a multi-zone scenario: every zone gets the spec's plant and an
  * independent controller for the spec's system (all zones share the
  * site climate and forecaster).  config.plantConfig, physicsStepS, and
- * seed are overwritten from the spec; zones, policy, clusterConfig, and
- * sampleIntervalS are taken from @p config.
+ * seed are overwritten from the spec; zones, policy and clusterConfig
+ * are taken from @p config.
  */
 MultiZoneScenario buildMultiZoneScenario(const sim::ExperimentSpec &spec,
                                          MultiZoneConfig config);

@@ -152,7 +152,7 @@ BatchedEngine::beginRange(int64_t start_s, int64_t end_s)
 }
 
 void
-BatchedEngine::loadWeather(int64_t t_s)
+BatchedEngine::beginStep(int64_t t_s)
 {
     if (_gridIndex == _gridPoints)
         refreshGrids(t_s, _rangeEndS);

@@ -118,7 +118,7 @@ class BatchedEngine : private Timeline
     };
 
     void beginRange(int64_t start_s, int64_t end_s) override;
-    void loadWeather(int64_t t_s) override;
+    void beginStep(int64_t t_s) override;
     void startPlants(int64_t warm_start_s) override;
     void readSensors() override;
     void stepPlants(double dt_s) override;

@@ -10,12 +10,18 @@ namespace coolair {
 namespace sim {
 
 EngineConfig
-engineConfigFor(const ExperimentSpec &spec)
+engineConfigFor(double physics_step_s)
 {
     EngineConfig ec;
-    ec.physicsStepS = spec.physicsStepS;
-    ec.sampleIntervalS = std::max<int64_t>(60, int64_t(spec.physicsStepS));
+    ec.physicsStepS = physics_step_s;
+    ec.sampleIntervalS = std::max<int64_t>(60, int64_t(physics_step_s));
     return ec;
+}
+
+EngineConfig
+engineConfigFor(const ExperimentSpec &spec)
+{
+    return engineConfigFor(spec.physicsStepS);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +172,7 @@ Timeline::runRange(util::SimTime start, util::SimTime end, bool collect)
         util::SimTime now(t);
         // One weather evaluation per lane serves the sample and the
         // physics step at this instant.
-        loadWeather(t);
+        beginStep(t);
         if ((t - start.seconds()) % interval == 0)
             sample(now, collect);
 
@@ -311,7 +317,7 @@ Engine::Engine(plant::Plant &plant, workload::WorkloadModel &workload,
 }
 
 void
-Engine::loadWeather(int64_t t_s)
+Engine::beginStep(int64_t t_s)
 {
     _outside.front() = _climate.sample(util::SimTime(t_s));
 }

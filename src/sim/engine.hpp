@@ -71,9 +71,12 @@ using TraceSink = std::function<void(const TraceRow &)>;
 std::vector<int> yearSampleDays(int weeks);
 
 /**
- * The engine configuration a spec runs under: its physics step, with
- * sensors sampled every max(60 s, step).
+ * The engine configuration a physics step of @p physics_step_s runs
+ * under: sensors sampled every max(60 s, step), 2 h of warm-up.
  */
+EngineConfig engineConfigFor(double physics_step_s);
+
+/** The engine configuration a spec runs under: its physics step's. */
 EngineConfig engineConfigFor(const ExperimentSpec &spec);
 
 /**
@@ -84,7 +87,8 @@ EngineConfig engineConfigFor(const ExperimentSpec &spec);
  * workload, controller and metrics, with its slot in the flat per-lane
  * arrays below.  Subclasses supply the plant and the weather: Engine
  * runs one lane over components the caller owns, BatchedEngine N lanes
- * it owns.
+ * it owns, multizone::MultiZoneEngine one lane per cooling zone, and
+ * ModelSimRunner one lane over the learned-model plant.
  */
 class Timeline
 {
@@ -177,8 +181,9 @@ class Timeline
     /** A range [start, end) is about to run. */
     virtual void beginRange(int64_t start_s, int64_t end_s);
 
-    /** Fill _outside with every lane's weather at @p t_s. */
-    virtual void loadWeather(int64_t t_s) = 0;
+    /** Step @p t_s starts: fill _outside with every lane's weather at
+        @p t_s.  Runs before any lane samples or steps at @p t_s. */
+    virtual void beginStep(int64_t t_s) = 0;
 
     /** Start every lane's plant near steady state at @p warm_start_s. */
     virtual void startPlants(int64_t warm_start_s) = 0;
@@ -245,7 +250,7 @@ class Engine : public Timeline
     void addStats(obs::StatsRegistry &reg) const { addLaneStats(0, reg); }
 
   private:
-    void loadWeather(int64_t t_s) override;
+    void beginStep(int64_t t_s) override;
     void startPlants(int64_t warm_start_s) override;
     void readSensors() override;
     void stepPlants(double dt_s) override;

@@ -159,8 +159,7 @@ TEST(ModelSimRunner, SampleHookFiresPerStep)
     ModelSimRunner runner(mp, cluster, ctrl, climate);
 
     int samples = 0;
-    runner.setSampleHook(
-        [&](const plant::SensorReadings &) { ++samples; });
+    runner.setTraceSink([&](const TraceRow &) { ++samples; });
     runner.runDay(100, initialReadings(24.0));
     EXPECT_EQ(samples, 720);  // one 2-minute step at a time for a day
 }
