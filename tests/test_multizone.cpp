@@ -145,6 +145,58 @@ TEST(MultiZone, AggregateSummarySumsEnergy)
     EXPECT_NEAR(agg.coolingKwh, cool_sum, 1e-9);
     EXPECT_NEAR(agg.pue, (it_sum + cool_sum + 0.08 * it_sum) / it_sum,
                 1e-9);
+
+    // Temperature metrics: ranges take the extremes over zones, the
+    // rest the mean (zones take equal sample counts, so the mean of the
+    // fractions is the pooled fraction).
+    double violation = 0.0, avg_range = 0.0, humidity = 0.0, rate = 0.0,
+           max_inlet = 0.0, min_range = 1e9, max_range = 0.0;
+    for (int z = 0; z < 3; ++z) {
+        const sim::Summary s = engine.zoneSummary(z);
+        violation += s.avgViolationC / 3.0;
+        avg_range += s.avgWorstDailyRangeC / 3.0;
+        humidity += s.humidityViolationFrac / 3.0;
+        rate += s.rateViolationFrac / 3.0;
+        max_inlet += s.avgMaxInletC / 3.0;
+        min_range = std::min(min_range, s.minWorstDailyRangeC);
+        max_range = std::max(max_range, s.maxWorstDailyRangeC);
+        EXPECT_EQ(s.days, agg.days);
+    }
+    EXPECT_NEAR(agg.avgViolationC, violation, 1e-12);
+    EXPECT_NEAR(agg.avgWorstDailyRangeC, avg_range, 1e-12);
+    EXPECT_EQ(agg.minWorstDailyRangeC, min_range);
+    EXPECT_EQ(agg.maxWorstDailyRangeC, max_range);
+    EXPECT_NEAR(agg.humidityViolationFrac, humidity, 1e-12);
+    EXPECT_NEAR(agg.rateViolationFrac, rate, 1e-12);
+    EXPECT_NEAR(agg.avgMaxInletC, max_inlet, 1e-12);
+    EXPECT_GT(agg.minWorstDailyRangeC, 0.0);
+    EXPECT_GT(agg.avgMaxInletC, 15.0);
+    EXPECT_EQ(agg.days, 1u);
+}
+
+// Sensors are sampled every max(60 s, step), so a 120 s step is one
+// 120 s sample: a zone's energy over a day matches the 60 s run's.
+TEST(MultiZone, CoarseStepKeepsZoneEnergy)
+{
+    auto zone_it_kwh = [](double step_s) {
+        sim::ExperimentSpec spec;
+        spec.location =
+            environment::namedLocation(environment::NamedSite::Newark);
+        spec.system = sim::SystemId::Baseline;
+        spec.physicsStepS = step_s;
+        MultiZoneConfig cfg;
+        cfg.zones = 2;
+        MultiZoneScenario mz = buildMultiZoneScenario(spec, cfg);
+        mz.engine->runDay(150, workload::facebookTrace({}));
+        return mz.engine->zoneSummary(0).itKwh;
+    };
+    const double fine = zone_it_kwh(60.0);
+    const double coarse = zone_it_kwh(120.0);
+    EXPECT_GT(fine, 10.0);
+    EXPECT_NEAR(coarse, fine, 0.1 * fine);
+
+    // A step the sample interval is not a multiple of stops the run.
+    EXPECT_DEATH(zone_it_kwh(45.0), "multiple of the physics step");
 }
 
 TEST(MultiZone, PolicyNames)
