@@ -505,6 +505,26 @@ BM_ClimateSample(benchmark::State &state)
 }
 BENCHMARK(BM_ClimateSample);
 
+/** The grid instance of the same climate: one batched lane-day at
+    120 s, 2 h of warm-up then the day, 780 points in one call. */
+void
+BM_ClimateSampleGrid(benchmark::State &state)
+{
+    environment::Location loc =
+        environment::namedLocation(environment::NamedSite::Newark);
+    environment::Climate climate = loc.makeClimate(7);
+    const util::SimTime start(100 * util::kSecondsPerDay -
+                              2 * util::kSecondsPerHour);
+    environment::WeatherGrid grid;
+    for (auto _ : state) {
+        climate.sampleGridInto(start, 120, 780, grid);
+        benchmark::DoNotOptimize(grid.tempC.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 780);
+}
+BENCHMARK(BM_ClimateSampleGrid);
+
 /** A weather-cache hit: the engine's 120 s steps through one resident
     day of a CachedWeatherProvider on its 60 s grid, filled untimed. */
 void
