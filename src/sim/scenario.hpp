@@ -244,7 +244,7 @@ obs::RunReport makeRunReport(const ExperimentSpec &spec,
  * A learned-model simulation stack (ModelPlant + ModelSimRunner) built
  * from the same spec as the physics Scenario, for the paper's
  * real-vs-simulation validation.  Members are exposed directly: these
- * studies drive the runner by hand (custom start states, sample hooks).
+ * studies drive the runner by hand (custom start states, trace sinks).
  */
 struct ModelSimScenario
 {
