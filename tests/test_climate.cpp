@@ -229,7 +229,9 @@ pinnedSites()
 // temperature() every 30 s from 2 h before day 0 through day 3, per
 // site, recorded on x86-64 Debian 12 (GCC 12.2, glibc 2.36).  Only a
 // libm with different sin/cos/exp rounding, or an edit to the
-// climate's arithmetic or its association, could move them.
+// climate's arithmetic or its association, could move them.  At every
+// point temperature() must also equal sample().tempC bit for bit: the
+// forecaster's hourly means read temperature(), the engine sample().
 TEST(Climate, StrictSamplesArePinned)
 {
     const std::map<std::string, std::string> kPinned = {
@@ -245,14 +247,19 @@ TEST(Climate, StrictSamplesArePinned)
     for (const auto &[name, loc] : pinnedSites()) {
         const Climate c = loc.makeClimate(11);
         BitDigest samples, temps;
+        int differing = 0;
         for (int64_t t = -2 * util::kSecondsPerHour;
              t < 4 * util::kSecondsPerDay; t += 30) {
             const WeatherSample w = c.sample(SimTime(t));
             samples.add(w.tempC);
             samples.add(w.rhPercent);
             samples.add(w.absHumidity);
-            temps.add(c.temperature(SimTime(t)));
+            const double temp = c.temperature(SimTime(t));
+            temps.add(temp);
+            if (std::memcmp(&temp, &w.tempC, sizeof(temp)) != 0)
+                ++differing;
         }
+        EXPECT_EQ(0, differing) << name << ": temperature() != sample().tempC";
         char text[40];
         std::snprintf(text, sizeof(text), "%016llx %016llx",
                       (unsigned long long)samples.h,
