@@ -3,7 +3,7 @@
  * Microbenchmarks (google-benchmark) for the performance-critical
  * building blocks: plant physics stepping, model prediction rollout,
  * the CoolAir control epoch, regression fitting, the cluster simulator,
- * the weather cache, and the result store's warm read path (cache
+ * the climate, and the result store's warm read path (cache
  * identity, entry lookup and CRC, result text, hot-cache hit, wire
  * framing).
  */
@@ -19,7 +19,6 @@
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
 #include "environment/forecast.hpp"
-#include "environment/weather_cache.hpp"
 #include "environment/world_grid.hpp"
 #include "model/learner.hpp"
 #include "model/linreg.hpp"
@@ -524,28 +523,6 @@ BM_ClimateSampleGrid(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 780);
 }
 BENCHMARK(BM_ClimateSampleGrid);
-
-/** A weather-cache hit: the engine's 120 s steps through one resident
-    day of a CachedWeatherProvider on its 60 s grid, filled untimed. */
-void
-BM_WeatherCacheHit(benchmark::State &state)
-{
-    environment::Location loc =
-        environment::namedLocation(environment::NamedSite::Newark);
-    environment::Climate climate = loc.makeClimate(7);
-    environment::CachedWeatherProvider weather(
-        climate, environment::weatherCacheGridStepS(120.0));
-    const int64_t day0 = 100 * util::kSecondsPerDay;
-    for (int64_t t = 0; t < util::kSecondsPerDay; t += 120)
-        weather.sample(util::SimTime(day0 + t));
-    int64_t t = 0;
-    for (auto _ : state) {
-        auto w = weather.sample(util::SimTime(day0 + t));
-        t = (t + 120) % util::kSecondsPerDay;
-        benchmark::DoNotOptimize(w.tempC);
-    }
-}
-BENCHMARK(BM_WeatherCacheHit);
 
 /** The controller's daily forecast: one Forecaster::fullDay call on a
     named site's Climate with zero forecast error (288 strict

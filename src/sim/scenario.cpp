@@ -201,23 +201,6 @@ Scenario::run()
 void
 Scenario::collectStats(obs::StatsRegistry &reg) const
 {
-    if (_weather) {
-        environment::CachedWeatherProvider::CacheStats cs =
-            _weather->cacheStats();
-        reg.counter("weather.cache.hits", "grid queries served from memo")
-            .add(cs.hits);
-        reg.counter("weather.cache.misses", "grid queries that evaluated")
-            .add(cs.misses);
-        reg.counter("weather.cache.evictions", "day blocks recycled (LRU)")
-            .add(cs.evictions);
-        reg.counter("weather.cache.passthrough",
-                    "off-grid or cache-disabled queries")
-            .add(cs.passthrough);
-        reg.counter("weather.underlying_evals",
-                    "climate-model evaluations actually performed")
-            .add(_weather->underlyingEvals());
-    }
-
     _engine->addStats(reg);
 }
 
@@ -371,17 +354,8 @@ ScenarioBuilder::build()
     scenario->_climate = std::make_unique<environment::Climate>(
         _spec.location.makeClimate(_spec.seed));
 
-    // The cache memoizes exact samples on the day-grid shared by the
-    // engine loop and the forecaster's hourly queries; a physics step
-    // with no integral grid falls back to the raw climate.
-    int64_t grid = environment::weatherCacheGridStepS(_spec.physicsStepS);
-    if (_spec.weatherCache && grid > 0)
-        scenario->_weather =
-            std::make_unique<environment::CachedWeatherProvider>(
-                *scenario->_climate, grid);
-
     scenario->_forecaster = std::make_unique<environment::Forecaster>(
-        scenario->weather(), _spec.forecastError, _spec.seed);
+        *scenario->_climate, _spec.forecastError, _spec.seed);
 
     scenario->_workload = makeWorkload(_spec);
 
@@ -398,7 +372,7 @@ ScenarioBuilder::build()
 
     scenario->_engine = std::make_unique<Engine>(
         *scenario->_plant, *scenario->_workload, *scenario->_controller,
-        scenario->weather(), engineConfigFor(_spec));
+        *scenario->_climate, engineConfigFor(_spec));
     scenario->_engine->setMetrics(scenario->_metrics.get());
 
     scenario->_sinks = std::move(_sinks);

@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "environment/weather_cache.hpp"
 #include "obs/report.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
@@ -109,10 +108,10 @@ class Scenario
     ExperimentResult run();
 
     /**
-     * Harvest every component counter (weather cache, controller,
-     * engine, metrics) into @p reg.  All values are simulation-
-     * deterministic; call at most once per run (counters are lifetime
-     * totals, re-harvesting double-counts on merge).
+     * Harvest every component counter (controller, engine, metrics)
+     * into @p reg.  All values are simulation-deterministic; call at
+     * most once per run (counters are lifetime totals, re-harvesting
+     * double-counts on merge).
      */
     void collectStats(obs::StatsRegistry &reg) const;
 
@@ -120,19 +119,9 @@ class Scenario
     void addTraceSink(TraceSink sink);
 
     const ExperimentSpec &spec() const { return _spec; }
-    const environment::Climate &climate() const { return *_climate; }
 
-    /**
-     * The weather provider the engine and forecaster actually consume:
-     * the grid cache when spec().weatherCache is on (and the physics
-     * step admits a grid), the raw climate otherwise.
-     */
-    const environment::WeatherProvider &weather() const
-    {
-        return _weather ? static_cast<const environment::WeatherProvider &>(
-                              *_weather)
-                        : *_climate;
-    }
+    /** The weather the engine and forecaster consume: the climate. */
+    const environment::WeatherProvider &weather() const { return *_climate; }
 
     environment::Forecaster &forecaster() { return *_forecaster; }
     plant::Plant &plant() { return *_plant; }
@@ -154,7 +143,6 @@ class Scenario
     std::vector<std::function<void(obs::StatsRegistry &)>>
         _reportStatsSources;
     std::unique_ptr<environment::Climate> _climate;
-    std::unique_ptr<environment::CachedWeatherProvider> _weather;
     std::unique_ptr<environment::Forecaster> _forecaster;
     std::unique_ptr<plant::Plant> _plant;
     std::unique_ptr<workload::WorkloadModel> _workload;
