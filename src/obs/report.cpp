@@ -1,5 +1,7 @@
 #include "obs/report.hpp"
 
+#include "util/json.hpp"
+
 namespace coolair {
 namespace obs {
 
@@ -8,19 +10,20 @@ writeRunReport(std::ostream &os, const RunReport &report,
                const StatsRegistry &stats, const DumpOptions &options)
 {
     os << "{\n";
-    os << "  \"spec\": " << jsonQuote(report.specText) << ",\n";
+    os << "  \"spec\": " << util::jsonQuote(report.specText) << ",\n";
     os << "  \"seed\": " << report.seed << ",\n";
     os << "  \"wall_seconds\": " << formatDouble(report.wallSeconds) << ",\n";
     os << "  \"sim_seconds\": " << formatDouble(report.simSeconds) << ",\n";
     for (const auto &[name, value] : report.annotations)
-        os << "  " << jsonQuote(name) << ": " << jsonQuote(value) << ",\n";
+        os << "  " << util::jsonQuote(name) << ": "
+           << util::jsonQuote(value) << ",\n";
     os << "  \"metrics\": {";
     bool first = true;
     for (const auto &[name, value] : report.metrics) {
         if (!first)
             os << ",";
         first = false;
-        os << "\n    " << jsonQuote(name) << ": " << formatDouble(value);
+        os << "\n    " << util::jsonQuote(name) << ": " << formatDouble(value);
     }
     if (!first)
         os << "\n  ";

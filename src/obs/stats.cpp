@@ -59,12 +59,6 @@ formatDouble(double v)
     return buf;
 }
 
-std::string
-jsonQuote(const std::string &s)
-{
-    return util::jsonQuote(s);
-}
-
 // ---------------------------------------------------------------------------
 // Histogram.
 // ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ StatsRegistry::dumpJson(std::ostream &os, const DumpOptions &options,
         if (!first)
             os << ",";
         first = false;
-        os << "\n" << inner << jsonQuote(e.name) << ": ";
+        os << "\n" << inner << util::jsonQuote(e.name) << ": ";
         switch (e.kind) {
           case StatKind::Counter:
             os << e.counterValue;

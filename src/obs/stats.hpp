@@ -280,9 +280,6 @@ void setEnabled(bool on);
  */
 std::string formatDouble(double v);
 
-/** Escape and quote a string for JSON output. */
-std::string jsonQuote(const std::string &s);
-
 } // namespace obs
 } // namespace coolair
 

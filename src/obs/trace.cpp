@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "util/json.hpp"
+
 namespace coolair {
 namespace obs {
 
@@ -176,14 +178,14 @@ writeTraceEventsJson(std::ostream &os, std::vector<TraceEvent> events,
         first = false;
         os << "\n    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1"
            << ", \"tid\": " << tid
-           << ", \"args\": {\"name\": " << jsonQuote(name) << "}}";
+           << ", \"args\": {\"name\": " << util::jsonQuote(name) << "}}";
     }
     for (const TraceEvent &e : events) {
         if (!first)
             os << ",";
         first = false;
-        os << "\n    {\"name\": " << jsonQuote(e.name)
-           << ", \"cat\": " << jsonQuote(e.cat)
+        os << "\n    {\"name\": " << util::jsonQuote(e.name)
+           << ", \"cat\": " << util::jsonQuote(e.cat)
            << ", \"ph\": \"X\", \"pid\": 1"
            << ", \"tid\": " << e.tid
            << ", \"ts\": " << e.tsUs

@@ -5,8 +5,7 @@
  * @file
  * Minimal JSON string escaping shared by every writer in the tree (obs
  * dumps, run reports, the structured logger).  Lives in util so the
- * logger can emit JSON without depending on obs; obs::jsonQuote
- * delegates here.
+ * logger can emit JSON without depending on obs.
  *
  * jsonUnquote is the strict inverse: it exists so tests can prove the
  * escaping round-trips exactly (jsonUnquote(jsonQuote(s)) == s for any

@@ -58,46 +58,5 @@ TextTable::print(std::ostream &os) const
         print_row(_rows[r]);
 }
 
-CsvWriter::CsvWriter(std::ostream &os, const std::vector<std::string> &header)
-    : _os(os), _arity(header.size())
-{
-    if (header.empty())
-        panic("CsvWriter: header must be non-empty");
-    for (size_t i = 0; i < header.size(); ++i) {
-        if (i)
-            _os << ",";
-        _os << header[i];
-    }
-    _os << "\n";
-}
-
-void
-CsvWriter::writeRow(const std::vector<double> &values)
-{
-    if (values.size() != _arity)
-        panic("CsvWriter::writeRow: arity mismatch");
-    char buf[64];
-    for (size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            _os << ",";
-        std::snprintf(buf, sizeof(buf), "%.6g", values[i]);
-        _os << buf;
-    }
-    _os << "\n";
-}
-
-void
-CsvWriter::writeRow(const std::vector<std::string> &cells)
-{
-    if (cells.size() != _arity)
-        panic("CsvWriter::writeRow: arity mismatch");
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            _os << ",";
-        _os << cells[i];
-    }
-    _os << "\n";
-}
-
 } // namespace util
 } // namespace coolair

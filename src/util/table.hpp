@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Plain-text table and CSV emitters used by the bench harnesses to print
- * the paper's tables/figure series, and to dump traces for plotting.
+ * The plain-text table emitter the bench harnesses print the paper's
+ * tables and figure series with.
  */
 
 #include <ostream>
@@ -35,27 +35,6 @@ class TextTable
 
   private:
     std::vector<std::vector<std::string>> _rows;
-};
-
-/**
- * Streaming CSV writer.  Used by examples to dump time series that can be
- * plotted externally.
- */
-class CsvWriter
-{
-  public:
-    /** Bind to an output stream and write the header line. */
-    CsvWriter(std::ostream &os, const std::vector<std::string> &header);
-
-    /** Write one data row (doubles rendered with 6 significant digits). */
-    void writeRow(const std::vector<double> &values);
-
-    /** Write one data row of preformatted cells. */
-    void writeRow(const std::vector<std::string> &cells);
-
-  private:
-    std::ostream &_os;
-    size_t _arity;
 };
 
 } // namespace util

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the text-table and CSV emitters.
+ * Unit tests for the text-table emitter.
  */
 
 #include <gtest/gtest.h>
@@ -35,20 +35,4 @@ TEST(TextTable, ArityMismatchPanics)
 {
     TextTable t({"a", "b"});
     EXPECT_DEATH(t.addRow({"only-one"}), "arity");
-}
-
-TEST(CsvWriter, HeaderAndRows)
-{
-    std::ostringstream os;
-    CsvWriter csv(os, {"t", "x"});
-    csv.writeRow(std::vector<double>{1.0, 2.5});
-    csv.writeRow(std::vector<std::string>{"2", "hello"});
-    EXPECT_EQ(os.str(), "t,x\n1,2.5\n2,hello\n");
-}
-
-TEST(CsvWriter, ArityMismatchPanics)
-{
-    std::ostringstream os;
-    CsvWriter csv(os, {"a", "b", "c"});
-    EXPECT_DEATH(csv.writeRow(std::vector<double>{1.0}), "arity");
 }
