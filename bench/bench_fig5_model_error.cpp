@@ -96,9 +96,9 @@ evaluateHeldOut(const sim::ExperimentSpec &spec)
         }
 
         // Predict 5 model steps ahead from current readings.
-        core::PredictorState state = core::PredictorState::fromSensors(
-            sensors, prev_temp, prev_fan, prev_outside, prev_regime,
-            &load);
+        core::PredictorState state;
+        state.fill(sensors, prev_temp, prev_fan, prev_outside, prev_regime,
+                   &load);
         environment::WeatherSample outside = weather.at(now);
         state.outsideC = outside.tempC;
         state.outsideAbsHumidity = outside.absHumidity;

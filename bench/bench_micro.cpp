@@ -259,8 +259,8 @@ coolairDayTape()
 
 /**
  * The day's recorded epochs replayed in order through a fresh CoolAir,
- * time per epoch.  Arg: candidate instance (0 = strict predictScoredInto,
- * 1 = lane scorer).  Unlike the optimizer benches' synthetic state, these
+ * time per epoch.  Arg: candidate instance (0 = strict scoreStrict,
+ * 1 = lane scoreLane).  Unlike the optimizer benches' synthetic state, these
  * are the epochs a year run decides.
  */
 void

@@ -71,22 +71,15 @@ CoolingOptimizer::select(const CoolingPredictor &predictor,
     const cooling::RegimeClass current_cls =
         cooling::classify(state.currentRegime);
 
-    // One set of penalty weights for the epoch, shared by both instances.
+    // One epoch, with one set of penalty weights, for both instances.
     const PenaltyWeights weights =
         penaltyWeights(_utility, band, model.config().stepS / 3600.0);
-    if (!traj)
-        predictor.beginLanes(state, outlook, activePods, weights);
-
-    ScoreContext sc;
-    sc.activePods = &activePods;
-    sc.weights = &weights;
-    sc.utility = &_utility;
+    predictor.beginEpoch(state, outlook, activePods, &_utility, &weights);
 
     auto score = [&](size_t c, double at, CandidateScore &cs) {
         const PlannedCandidate &pc = _plan[c];
-        sc.switchTerm =
+        const double switch_term =
             pc.cls != current_cls ? _utility.switchPenalty : 0.0;
-        sc.abandonAtScore = at;
         // The static floor: the score with a zero penalty, in the
         // score's own association.  The penalty is non-negative and
         // rounding is monotone, so the floor never exceeds the score.
@@ -94,22 +87,13 @@ CoolingOptimizer::select(const CoolingPredictor &predictor,
         if (_utility.energyAware)
             floor += _utility.energyWeightPerKwh *
                      (traj ? pc.energyKwh : pc.laneEnergyKwh);
-        floor += sc.switchTerm;
+        floor += switch_term;
         if (floor >= at) {
             predictor.noteScreened();
             return false;
         }
-        if (!traj)
-            return predictor.scoreLane(pc, floor, at, cs);
-        if (!predictor.predictScoredInto(state, _menu.candidates[c],
-                                         outlook, sc, *traj, cs.penalty))
-            return false;
-        cs.energyKwh = traj->coolingEnergyKwh;
-        cs.score = cs.penalty;
-        if (_utility.energyAware)
-            cs.score += _utility.energyWeightPerKwh * cs.energyKwh;
-        cs.score += sc.switchTerm;
-        return true;
+        return traj ? predictor.scoreStrict(pc, switch_term, at, *traj, cs)
+                    : predictor.scoreLane(pc, floor, at, cs);
     };
     auto incumbent = [&](size_t c) {
         return _menu.candidates[c] == state.currentRegime;

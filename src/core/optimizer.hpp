@@ -168,9 +168,10 @@ class CoolingOptimizer
      * The selection loop of both choose() instances: walkMenu() seeded
      * with the first incumbent candidate.  A candidate whose static
      * floor (its score with a zero penalty) reaches its threshold is
-     * skipped, the rest roll out with that bound, by predictScoredInto()
-     * into @p traj or by the lane scorer when @p traj is null.  Either
-     * instance charges the epoch's one penaltyWeights().
+     * skipped, the rest roll out with that bound, by scoreStrict() into
+     * @p traj or by scoreLane() when @p traj is null.  Both instances
+     * score the menu's one plan in the one epoch that beginEpoch()
+     * starts, and charge its one penaltyWeights().
      */
     OptimizerDecision select(const CoolingPredictor &predictor,
                              const PredictorState &state,

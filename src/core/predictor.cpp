@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "physics/psychrometrics.hpp"
 #include "util/logging.hpp"
@@ -43,18 +44,6 @@ bankTemps(size_t pods, size_t S, const double *__restrict W,
 }
 
 } // anonymous namespace
-
-PredictorState
-PredictorState::fromSensors(const plant::SensorReadings &sensors,
-                            const std::vector<double> &prev_temp,
-                            double prev_fan, double prev_outside,
-                            const cooling::Regime &current,
-                            const plant::PodLoad *load)
-{
-    PredictorState st;
-    st.fill(sensors, prev_temp, prev_fan, prev_outside, current, load);
-    return st;
-}
 
 void
 PredictorState::fill(const plant::SensorReadings &sensors,
@@ -167,20 +156,44 @@ CoolingPredictor::predict(const PredictorState &state,
     EpochOutlook outlook;
     outlook.materialize(state, _horizonSteps,
                         _model->config().evapEffectiveness);
+    const std::vector<int> none;
+    beginEpoch(state, outlook, none, nullptr, nullptr);
     Trajectory traj;
-    predictInto(state, candidate, outlook, traj);
+    CandidateScore cs;
+    (void)scoreStrict(planCandidate(candidate, UtilityConfig{}), 0.0,
+                      std::numeric_limits<double>::infinity(), traj, cs);
+    traj.coolingEnergyKwh = cs.energyKwh;
     return traj;
 }
 
-void
-CoolingPredictor::predictInto(const PredictorState &state,
-                              const cooling::Regime &candidate,
-                              const EpochOutlook &outlook,
-                              Trajectory &traj) const
+PlannedCandidate
+CoolingPredictor::planCandidate(const cooling::Regime &candidate,
+                                const UtilityConfig &cfg) const
 {
-    ScoreContext none;  // utility == nullptr: roll out without scoring
-    double penalty = 0.0;
-    (void)predictScoredInto(state, candidate, outlook, none, traj, penalty);
+    constexpr int kCls = cooling::kNumRegimeClasses;
+    PlannedCandidate pc;
+    pc.cls = cooling::classify(candidate);
+    const bool ac_on = candidate.mode == cooling::Mode::AirConditioning &&
+                       candidate.compressorOn;
+    // Variable-speed AC blends the compressor-on and -off maps by
+    // compressor speed; its fan is zero like every AC candidate's.
+    const bool ac_interp = ac_on && candidate.compressorSpeed < 1.0 - 1e-9;
+    const int first = int(pc.cls);
+    const int rest = kCls + int(pc.cls);
+    pc.slots = {first,
+                ac_interp ? int(cooling::RegimeClass::AcFanOnly) : first,
+                rest, ac_interp ? kOffRest : rest};
+    pc.fan = candidate.mode == cooling::Mode::FreeCooling ? candidate.fanSpeed
+                                                          : 0.0;
+    pc.s = ac_interp ? util::clamp(candidate.compressorSpeed, 0.0, 1.0) : 0.0;
+    pc.acFull = cfg.penalizeAcFull && ac_on && !ac_interp;
+    // Cooling power depends only on the candidate, not the step.
+    const double step_h = _model->config().stepS / 3600.0;
+    pc.stepKwh = _model->predictCoolingPower(candidate) * step_h / 1000.0;
+    for (int step = 0; step < _horizonSteps; ++step)
+        pc.energyKwh += pc.stepKwh;
+    pc.laneEnergyKwh = pc.stepKwh * double(_horizonSteps);
+    return pc;
 }
 
 void
@@ -188,43 +201,17 @@ CoolingPredictor::planCandidates(const cooling::RegimeMenu &menu,
                                  const UtilityConfig &cfg,
                                  std::vector<PlannedCandidate> &plan) const
 {
-    constexpr int kCls = cooling::kNumRegimeClasses;
-    const double step_h = _model->config().stepS / 3600.0;
-    plan.resize(menu.candidates.size());
-    for (size_t c = 0; c < plan.size(); ++c) {
-        const cooling::Regime &candidate = menu.candidates[c];
-        PlannedCandidate &pc = plan[c];
-        pc.cls = cooling::classify(candidate);
-        const bool ac_on = candidate.mode == cooling::Mode::AirConditioning &&
-                           candidate.compressorOn;
-        // Variable-speed AC blends the compressor-on and -off maps by
-        // compressor speed; its fan is zero like every AC candidate's.
-        const bool ac_interp =
-            ac_on && candidate.compressorSpeed < 1.0 - 1e-9;
-        const int first = int(pc.cls);
-        const int rest = kCls + int(pc.cls);
-        pc.slots = {first,
-                    ac_interp ? int(cooling::RegimeClass::AcFanOnly) : first,
-                    rest, ac_interp ? kOffRest : rest};
-        pc.fan = candidate.mode == cooling::Mode::FreeCooling
-                     ? candidate.fanSpeed
-                     : 0.0;
-        pc.s = ac_interp ? util::clamp(candidate.compressorSpeed, 0.0, 1.0)
-                         : 0.0;
-        pc.acFull = cfg.penalizeAcFull && ac_on && !ac_interp;
-        const double power_w = _model->predictCoolingPower(candidate);
-        pc.energyKwh = 0.0;
-        for (int step = 0; step < _horizonSteps; ++step)
-            pc.energyKwh += power_w * step_h / 1000.0;
-        pc.laneEnergyKwh = power_w * step_h / 1000.0 * double(_horizonSteps);
-    }
+    plan.clear();
+    for (const cooling::Regime &candidate : menu.candidates)
+        plan.push_back(planCandidate(candidate, cfg));
 }
 
 void
-CoolingPredictor::beginLanes(const PredictorState &state,
+CoolingPredictor::beginEpoch(const PredictorState &state,
                              const EpochOutlook &outlook,
                              const std::vector<int> &activePods,
-                             const PenaltyWeights &weights) const
+                             const UtilityConfig *utility,
+                             const PenaltyWeights *weights) const
 {
     const int pods = int(state.podTempC.size());
     if (pods > _model->config().numPods)
@@ -233,19 +220,26 @@ CoolingPredictor::beginLanes(const PredictorState &state,
         util::panic("CoolingPredictor: outlook shorter than the horizon");
     for (int pod : activePods)
         if (pod < 0 || pod >= pods)
-            util::panic("beginLanes: pod index out of range");
+            util::panic("beginEpoch: pod index out of range");
+    if (!utility != !weights)
+        util::panic("beginEpoch: utility and weights go together");
 
-    _laneState = &state;
-    _laneOutlook = &outlook;
-    _laneWeights = &weights;
+    _epochState = &state;
+    _epochOutlook = &outlook;
+    _epochActive = &activePods;
+    _epochFrom = cooling::classify(state.currentRegime);
+    _epochUtility = utility;
+    _epochWeights = weights;
     _laneBanks.fill(nullptr);
 
     const size_t P = size_t(kernels::paddedPods(pods));
+    _tOff.resize(size_t(pods));
     _cBanks.resize(_laneBanks.size() * kernels::kBankRows * P);
     _cLaneSum.resize(size_t(_horizonSteps) * kernels::kPodBlock);
     _cSteps.resize(2 * size_t(_horizonSteps));
 
-    // Padded pod inputs; the padding stays zero (mask included).
+    // Padded pod inputs, the power fraction 0.5 where the state has
+    // none; the padding stays zero (mask included).
     _cPods.assign(4 * P, 0.0);
     double *t0 = _cPods.data();
     for (int p = 0; p < pods; ++p) {
@@ -259,29 +253,36 @@ CoolingPredictor::beginLanes(const PredictorState &state,
         t0[3 * P + size_t(pod)] = 1.0;
 }
 
-const CoolingPredictor::ResolvedModels &
-CoolingPredictor::laneBank(int slot) const
+cooling::TransitionKey
+CoolingPredictor::slotKey(int slot) const
 {
     using cooling::RegimeClass;
     constexpr int kCls = cooling::kNumRegimeClasses;
+    const RegimeClass to = slot == kOffRest ? RegimeClass::AcFanOnly
+                                            : RegimeClass(slot % kCls);
+    const RegimeClass from = slot < kCls         ? _epochFrom
+                             : slot == kOffRest ? RegimeClass::AcCompressor
+                                                : to;
+    return {from, to};
+}
+
+const CoolingPredictor::ResolvedModels &
+CoolingPredictor::laneBank(int slot) const
+{
     const ResolvedModels *&res = _laneBanks[size_t(slot)];
     if (res)
         return *res;
-    const PredictorState &state = *_laneState;
-    const EpochOutlook &outlook = *_laneOutlook;
-    const bool first = slot < kCls;
-    const RegimeClass to = slot == kOffRest ? RegimeClass::AcFanOnly
-                                            : RegimeClass(slot % kCls);
-    const RegimeClass from =
-        first ? cooling::classify(state.currentRegime)
-              : slot == kOffRest ? RegimeClass::AcCompressor : to;
-    res = &resolved({from, to});
+    const PredictorState &state = *_epochState;
+    const EpochOutlook &outlook = *_epochOutlook;
+    const cooling::TransitionKey key = slotKey(slot);
+    res = &resolved(key);
 
     // The outlook holds every non-state feature constant, so the bank
     // reduces to per-pod affine terms `T' = a*T + b*Tprev + c` in which
     // only the candidate's fan varies.  Evaporative candidates are
     // driven by the pre-cooled intake.
-    const bool evap = to == RegimeClass::FcEvap;
+    const bool first = slot < cooling::kNumRegimeClasses;
+    const bool evap = key.to == cooling::RegimeClass::FcEvap;
     const double out_c = evap ? outlook.evapOutletC : outlook.outsideC[0];
     const double out_prev = first && !evap ? outlook.outsidePrevC : out_c;
     const int pods = int(state.podTempC.size());
@@ -299,8 +300,8 @@ CoolingPredictor::scoreLane(const PlannedCandidate &cand, double floor,
                             double abandonAtScore, CandidateScore &out) const
 {
     ++_stats.rollouts;
-    const PredictorState &state = *_laneState;
-    const PenaltyWeights &w = *_laneWeights;
+    const PredictorState &state = *_epochState;
+    const PenaltyWeights &w = *_epochWeights;
     const int pods = int(state.podTempC.size());
     const int pods8 = kernels::paddedPods(pods);
     const size_t P = size_t(pods8);
@@ -360,213 +361,152 @@ CoolingPredictor::scoreLane(const PlannedCandidate &cand, double floor,
 }
 
 bool
-CoolingPredictor::predictScoredInto(const PredictorState &state,
-                                    const cooling::Regime &candidate,
-                                    const EpochOutlook &outlook,
-                                    const ScoreContext &score,
-                                    Trajectory &traj, double &penalty) const
+CoolingPredictor::scoreStrict(const PlannedCandidate &cand,
+                              double switchTerm, double abandonAtScore,
+                              Trajectory &traj, CandidateScore &out) const
 {
-    using cooling::RegimeClass;
-    using cooling::TransitionKey;
-
     ++_stats.rollouts;
-
+    const PredictorState &state = *_epochState;
+    const EpochOutlook &outlook = *_epochOutlook;
+    const UtilityConfig *cfg = _epochUtility;
+    const PenaltyWeights *w = _epochWeights;
     const int pods = int(state.podTempC.size());
-    if (pods > _model->config().numPods)
-        util::panic("CoolingPredictor: pod out of range");
-    if (int(outlook.outsideC.size()) < _horizonSteps)
-        util::panic("CoolingPredictor: outlook shorter than the horizon");
-
-    const double step_h = _model->config().stepS / 3600.0;
+    const size_t P = size_t(kernels::paddedPods(pods));
+    const double *t0 = _cPods.data();
+    const double *ppf = t0 + 2 * P;
+    double *t_off = _tOff.data();
 
     traj.steps.resize(size_t(_horizonSteps));
 
-    // The pods' power fractions (0.5 where the state has none), then
-    // room for interpolated AC's compressor-off temperatures.
-    _podScratch.resize(2 * size_t(pods));
-    double *ppf = _podScratch.data();
-    double *t_off = ppf + pods;
-    for (size_t p = 0; p < size_t(pods); ++p)
-        ppf[p] = p < state.podPowerFraction.size()
-                     ? state.podPowerFraction[p]
-                     : 0.5;
+    // Variable-speed AC interpolates its compressor-on and -off models,
+    // so it resolves four transition keys; every other candidate
+    // resolves its first step's and its steady key.
+    const bool blend = cand.slots[1] != cand.slots[0];
+    const ResolvedModels &first_on = resolved(slotKey(cand.slots[0]));
+    const ResolvedModels &rest_on = resolved(slotKey(cand.slots[2]));
+    const ResolvedModels &first_off =
+        blend ? resolved(slotKey(cand.slots[1])) : first_on;
+    const ResolvedModels &rest_off =
+        blend ? resolved(slotKey(cand.slots[3])) : rest_on;
+    // Evaporative candidates are driven by the pre-cooled intake.
+    const bool evap = cand.cls == cooling::RegimeClass::FcEvap;
+
+    // The penalty and energy add up in locals, so no store through the
+    // out-parameters stalls the sums.  A negative energy weight would
+    // make the partial energy term an upper bound on the final one,
+    // breaking the lower-bound argument, so it never abandons then.
+    double pen = 0.0;
+    double energy = 0.0;
+    const bool can_prune =
+        cfg && (!cfg->energyAware || cfg->energyWeightPerKwh >= 0.0);
     double abs_h = state.coldAbsHumidity;
     double fan_prev = state.fanSpeedPrev;
 
-    const double candidate_fan =
-        candidate.mode == cooling::Mode::FreeCooling ? candidate.fanSpeed
-                                                     : 0.0;
-    // Evaporative candidates are driven by the pre-cooled intake.
-    const bool evap = candidate.mode == cooling::Mode::FreeCooling &&
-                      candidate.evaporative;
-
-    // Only two transition keys appear in a rollout — (current ->
-    // candidate) at step 0 and (candidate -> candidate) after — so the
-    // per-pod model lookup + fallback chain runs twice per rollout
-    // instead of per pod per step.  Variable-speed AC candidates
-    // interpolate compressor-on and -off models, needing both sets.
-    const RegimeClass cur_cls = cooling::classify(state.currentRegime);
-    const RegimeClass cand_cls = cooling::classify(candidate);
-    const bool ac_interp =
-        candidate.mode == cooling::Mode::AirConditioning &&
-        candidate.compressorOn && candidate.compressorSpeed < 1.0 - 1e-9;
-    const double interp_s =
-        util::clamp(candidate.compressorSpeed, 0.0, 1.0);
-
-    const ResolvedModels *res_first = nullptr;
-    const ResolvedModels *res_rest = nullptr;
-    const ResolvedModels *res_first_off = nullptr;
-    const ResolvedModels *res_rest_off = nullptr;
-    if (ac_interp) {
-        res_first = &resolved({cur_cls, RegimeClass::AcCompressor});
-        res_rest = &resolved({cand_cls, RegimeClass::AcCompressor});
-        res_first_off = &resolved({cur_cls, RegimeClass::AcFanOnly});
-        res_rest_off = &resolved({cand_cls, RegimeClass::AcFanOnly});
-    } else {
-        res_first = &resolved({cur_cls, cand_cls});
-        res_rest = &resolved({cand_cls, cand_cls});
-    }
-
-    // Cooling power depends only on the candidate, not the step.
-    const double power_w = _model->predictCoolingPower(candidate);
-
-    // Everything about the §3.2 penalty that doesn't vary per step.  The
-    // penalty and energy add up in locals, so no store through the
-    // out-parameters stalls the sums.
-    double pen = 0.0;
-    double energy = 0.0;
-    const bool scoring = score.utility != nullptr;
-    bool ac_full = false;
-    bool can_prune = false;
-    if (scoring) {
-        const UtilityConfig &cfg = *score.utility;
-        for (int pod : *score.activePods)
-            if (pod < 0 || pod >= pods)
-                util::panic("predictScoredInto: pod index out of range");
-        ac_full = cfg.penalizeAcFull &&
-                  candidate.mode == cooling::Mode::AirConditioning &&
-                  candidate.compressorOn &&
-                  candidate.compressorSpeed >= 1.0 - 1e-9;
-        // A negative energy weight would make the partial energy term an
-        // upper bound on the final one, breaking the lower-bound
-        // argument — never abandon in that configuration.
-        can_prune = !cfg.energyAware || cfg.energyWeightPerKwh >= 0.0;
-    }
-
     for (int step = 0; step < _horizonSteps; ++step) {
         const bool first = step == 0;
-        PredictedStep &out = traj.steps[size_t(step)];
-        out.podTempC.resize(size_t(pods));
+        PredictedStep &out_step = traj.steps[size_t(step)];
+        out_step.podTempC.resize(size_t(pods));
 
         // The rollout's state: the last prediction and the one before
         // (the state's temperatures until there are two).
-        const double *T = first ? state.podTempC.data()
-                                : traj.steps[size_t(step - 1)].podTempC.data();
-        const double *Tp =
-            step > 1 ? traj.steps[size_t(step - 2)].podTempC.data()
-                     : (first ? state.podTempPrevC : state.podTempC).data();
+        const double *T =
+            first ? t0 : traj.steps[size_t(step - 1)].podTempC.data();
+        const double *Tp = step > 1
+                               ? traj.steps[size_t(step - 2)].podTempC.data()
+                               : (first ? t0 + P : t0);
         const double out_c = evap ? outlook.evapOutletC
                                   : outlook.outsideC[size_t(step)];
         const double out_prev =
             evap ? outlook.evapOutletC
                  : (first ? outlook.outsidePrevC
                           : outlook.outsideC[size_t(step - 1)]);
-        // Interpolated-AC rollouts query with fan speed forced to zero,
-        // matching CoolingModel::predictTemp's in_ac construction (the
-        // candidate fan is already zero for AC modes).
-        const double fan = ac_interp ? 0.0 : candidate_fan;
-        const ResolvedModels &on = *(first ? res_first : res_rest);
-        const ResolvedModels &off =
-            ac_interp ? *(first ? res_first_off : res_rest_off) : on;
-        double *dst = out.podTempC.data();
+        const ResolvedModels &on = first ? first_on : rest_on;
+        const ResolvedModels &off = first ? first_off : rest_off;
+        double *dst = out_step.podTempC.data();
         bankTemps(size_t(pods), on.temp.size(), on.tempW.data(), T, Tp, ppf,
-                  out_c, out_prev, fan, fan_prev, state.dcUtilization, dst);
-        if (ac_interp)
+                  out_c, out_prev, cand.fan, fan_prev, state.dcUtilization,
+                  dst);
+        if (blend)
             bankTemps(size_t(pods), off.temp.size(), off.tempW.data(), T, Tp,
-                      ppf, out_c, out_prev, fan, fan_prev,
+                      ppf, out_c, out_prev, cand.fan, fan_prev,
                       state.dcUtilization, t_off);
         for (size_t p = 0; p < size_t(pods); ++p) {
             // A null model is persistence, T' = T, as in predictTempWith.
             if (!on.temp[p])
                 dst[p] = T[p];
-            if (ac_interp) {
-                const double t0 = off.temp[p] ? t_off[p] : T[p];
-                dst[p] = t0 + (dst[p] - t0) * interp_s;
+            if (blend) {
+                const double t_lo = off.temp[p] ? t_off[p] : T[p];
+                dst[p] = t_lo + (dst[p] - t_lo) * cand.s;
             }
         }
 
         model::HumidityInputs hin;
         hin.insideAbs = abs_h;
         hin.outsideAbs = state.outsideAbsHumidity;
-        hin.fanSpeed = ac_interp ? 0.0 : candidate_fan;
-        double next_abs;
-        if (ac_interp) {
-            double h_on = model::CoolingModel::predictHumidityWith(
-                (first ? res_first : res_rest)->humidity, hin);
-            double h_off = model::CoolingModel::predictHumidityWith(
-                (first ? res_first_off : res_rest_off)->humidity, hin);
-            next_abs = h_off + (h_on - h_off) * interp_s;
-        } else {
-            next_abs = model::CoolingModel::predictHumidityWith(
-                (first ? res_first : res_rest)->humidity, hin);
+        hin.fanSpeed = cand.fan;
+        double next_abs =
+            model::CoolingModel::predictHumidityWith(on.humidity, hin);
+        if (blend) {
+            const double h_off =
+                model::CoolingModel::predictHumidityWith(off.humidity, hin);
+            next_abs = h_off + (next_abs - h_off) * cand.s;
         }
 
         // Relative humidity at the (predicted) cold-aisle temperature.
         double avg_t = 0.0;
-        for (double t : out.podTempC)
+        for (double t : out_step.podTempC)
             avg_t += t;
         avg_t = pods > 0 ? avg_t / pods : 20.0;
-        out.rhPercent = physics::relativeHumidity(avg_t, next_abs);
+        out_step.rhPercent = physics::relativeHumidity(avg_t, next_abs);
 
-        energy += power_w * step_h / 1000.0;
+        energy += cand.stepKwh;
 
-        if (scoring) {
-            const UtilityConfig &cfg = *score.utility;
-            const PenaltyWeights &w = *score.weights;
-            for (int pod : *score.activePods) {
+        if (w) {
+            for (int pod : *_epochActive) {
                 // A term that does not fire is +0.0 and would leave the
                 // sum as it is; skipping it keeps the chain of adds short.
-                const PodTerms p = podTerms(w, dst[pod], T[pod]);
+                const PodTerms p = podTerms(*w, dst[pod], T[pod]);
                 for (double term : {p.maxTemp, p.band, p.rate})
                     if (term != 0.0)
                         pen += term;
             }
-            if (w.humidity)
-                pen += humidityTerm(w, out.rhPercent);
-            if (ac_full)
+            if (w->humidity)
+                pen += humidityTerm(*w, out_step.rhPercent);
+            if (cand.acFull)
                 pen += 1.0;
 
             if (can_prune) {
-                // Lower bound on the final score, built in the
-                // optimizer's exact operation order.  All remaining
-                // increments are non-negative and FP accumulation of
-                // non-negative terms is monotone, so reaching the
-                // abandonment threshold here proves the full score
-                // would too.
+                // Lower bound on the final score, in the score's own
+                // association.  All remaining increments are
+                // non-negative and FP accumulation of non-negative terms
+                // is monotone, so reaching the threshold here proves the
+                // full score would too.
                 double bound = pen;
-                if (cfg.energyAware)
-                    bound += cfg.energyWeightPerKwh * energy;
-                bound += score.switchTerm;
-                if (bound >= score.abandonAtScore) {
+                if (cfg->energyAware)
+                    bound += cfg->energyWeightPerKwh * energy;
+                bound += switchTerm;
+                if (bound >= abandonAtScore) {
                     ++_stats.rolloutsAbandoned;
-                    traj.coolingEnergyKwh = energy;
-                    penalty = pen;
                     return false;
                 }
             }
         }
 
         abs_h = next_abs;
-        fan_prev = candidate_fan;
+        fan_prev = cand.fan;
     }
 
-    if (scoring) {
+    if (w) {
         const double *last = traj.steps.back().podTempC.data();
-        for (int pod : *score.activePods)
-            pen += centeringTerm(*score.weights, last[pod]);
+        for (int pod : *_epochActive)
+            pen += centeringTerm(*w, last[pod]);
     }
-    traj.coolingEnergyKwh = energy;
-    penalty = pen;
+    out.penalty = pen;
+    out.energyKwh = energy;
+    out.score = pen;
+    if (cfg && cfg->energyAware)
+        out.score += cfg->energyWeightPerKwh * energy;
+    out.score += switchTerm;
     return true;
 }
 

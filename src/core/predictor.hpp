@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "cooling/regime.hpp"
@@ -56,17 +55,10 @@ struct PredictorState
 
     cooling::Regime currentRegime;      ///< Regime in effect right now.
 
-    /** Build from current sensor readings and controller memory. */
-    static PredictorState fromSensors(const plant::SensorReadings &sensors,
-                                      const std::vector<double> &prev_temp,
-                                      double prev_fan,
-                                      double prev_outside,
-                                      const cooling::Regime &current,
-                                      const plant::PodLoad *load = nullptr);
-
     /**
-     * fromSensors() into this object, reusing its vector storage.  Every
-     * field is (re)assigned, so a stale state may be refilled freely.
+     * Fill from current sensor readings and controller memory, reusing
+     * this object's vector storage.  Every field is (re)assigned, so a
+     * stale state may be refilled freely.
      */
     void fill(const plant::SensorReadings &sensors,
               const std::vector<double> &prev_temp, double prev_fan,
@@ -104,25 +96,6 @@ struct EpochOutlook
                      double evap_effectiveness);
 };
 
-/**
- * Scoring context for CoolingPredictor::predictScoredInto(): everything
- * needed to accumulate the §3.2 utility penalty while the rollout runs.
- */
-struct ScoreContext
-{
-    const std::vector<int> *activePods = nullptr;
-    const PenaltyWeights *weights = nullptr;
-    const UtilityConfig *utility = nullptr;
-
-    /** Exact switch-penalty term for this candidate (0 when its regime
-        class matches the incumbent's). */
-    double switchTerm = 0.0;
-
-    /** Abandon the rollout once the candidate's score lower bound
-        reaches this value (+inf disables abandonment). */
-    double abandonAtScore = std::numeric_limits<double>::infinity();
-};
-
 /** One candidate's fully-evaluated score. */
 struct CandidateScore
 {
@@ -131,17 +104,18 @@ struct CandidateScore
     double score = 0.0;      ///< penalty + energy term + switch term.
 };
 
-/** One menu candidate as the scorers see it, derived once per menu,
-    model revision, horizon and utility (planCandidates). */
+/** One candidate as both scorers see it, derived once per menu, model
+    revision, horizon and utility (planCandidate()). */
 struct PlannedCandidate
 {
     cooling::RegimeClass cls = cooling::RegimeClass::Closed;
-    std::array<int, 4> slots{};  ///< Lane banks: first on/off, steady on/off
+    std::array<int, 4> slots{};  ///< Bank slots: first on/off, steady on/off
     double fan = 0.0;            ///< Fan speed (0 unless free cooling).
     double s = 0.0;              ///< Interpolated AC's compressor blend.
     bool acFull = false;         ///< Charged one unit per step.
-    double energyKwh = 0.0;      ///< As predictScoredInto accumulates it.
-    double laneEnergyKwh = 0.0;  ///< The lane scorer's energy term.
+    double stepKwh = 0.0;        ///< Cooling energy of one model step.
+    double energyKwh = 0.0;      ///< stepKwh summed step by step.
+    double laneEnergyKwh = 0.0;  ///< stepKwh * horizon, the lane's term.
 };
 
 /** Chains the Cooling Model over the optimizer horizon. */
@@ -154,66 +128,65 @@ class CoolingPredictor
      */
     CoolingPredictor(const model::CoolingModel *model, int horizon_steps = 5);
 
-    /** Roll out @p candidate from @p state. */
+    /** Roll out @p candidate from @p state (an unscored epoch over the
+        held outlook of materialize()). */
     Trajectory predict(const PredictorState &state,
                        const cooling::Regime &candidate) const;
 
-    /**
-     * Roll out @p candidate from @p state into @p traj, reusing the
-     * trajectory's storage and the shared per-epoch @p outlook.  The
-     * hot path: model lookups are resolved once per rollout (only two
-     * transition keys ever occur — current->candidate at step 0,
-     * candidate->candidate after) and no heap allocation happens once
-     * the scratch buffers reach capacity.  Produces bit-identical
-     * results to predict().
-     */
-    void predictInto(const PredictorState &state,
-                     const cooling::Regime &candidate,
-                     const EpochOutlook &outlook, Trajectory &traj) const;
+    /** @p candidate as both scorers see it under @p utility. */
+    PlannedCandidate planCandidate(const cooling::Regime &candidate,
+                                   const UtilityConfig &utility) const;
 
-    /**
-     * predictInto() fused with the §3.2 utility (the strict instance):
-     * each step adds every active pod's podTerms() that fire (not +0.0)
-     * straight into the running penalty, in activePods order, then
-     * humidityTerm() when enabled and the AC-full unit; the last step's
-     * centeringTerm()s follow the loop.  The rollout is abandoned as
-     * soon as a lower bound on the candidate's final score reaches
-     * @p score.abandonAtScore.  Every penalty and energy increment is
-     * non-negative, and floating-point accumulation of non-negative
-     * terms is monotone, so the bound is safe: an abandoned candidate's
-     * fully-evaluated score could never have beaten the incumbent, and
-     * a candidate that completes produces the same @p penalty at any
-     * threshold.  Returns false when abandoned (then @p traj's contents
-     * are unspecified).
-     */
-    bool predictScoredInto(const PredictorState &state,
-                           const cooling::Regime &candidate,
-                           const EpochOutlook &outlook,
-                           const ScoreContext &score, Trajectory &traj,
-                           double &penalty) const;
-
-    /** Fill @p plan with one entry per candidate of @p menu. */
+    /** Fill @p plan with planCandidate() of each candidate of @p menu. */
     void planCandidates(const cooling::RegimeMenu &menu,
                         const UtilityConfig &utility,
                         std::vector<PlannedCandidate> &plan) const;
 
-    /** Start an epoch of the lane scorer; the arguments must outlive
-        the epoch's scoreLane() calls. */
-    void beginLanes(const PredictorState &state, const EpochOutlook &outlook,
+    /**
+     * Start an epoch of both scorers: checks the pod count, the outlook's
+     * length and @p activePods once, and pads the pod inputs both
+     * instances read.  @p utility and @p weights are both null for an
+     * unscored epoch (predict()), or both set.  The arguments must
+     * outlive the epoch's scoreStrict() and scoreLane() calls.
+     */
+    void beginEpoch(const PredictorState &state, const EpochOutlook &outlook,
                     const std::vector<int> &activePods,
-                    const PenaltyWeights &weights) const;
+                    const UtilityConfig *utility,
+                    const PenaltyWeights *weights) const;
 
     /**
-     * predictScoredInto() on the lane path (the lane-batched engine's
-     * rollout instance): each transition bank is collapsed, the first
-     * time the epoch needs it, into per-pod affine terms
-     * `T' = a*T + b*Tprev + c`, and @p cand runs one fused pass over its
-     * pods, charging the strict instance's utility.hpp terms, each pod's
-     * summed in its own lane.  It is abandoned (false) once its penalty
-     * so far plus @p floor, its score with a zero penalty, reaches
-     * @p abandonAtScore; a completed candidate scores penalty + @p floor
-     * at any threshold.  Scores can differ from the scalar path in the
-     * last ulps (DESIGN.md §10's tolerance contract).
+     * The strict instance (the scalar oracle's): roll @p cand out into
+     * @p traj, reusing its storage, with the models of
+     * CoolingModel::predictTemp read from the transposed banks, and
+     * charge the §3.2 utility as it runs: each step adds every active
+     * pod's podTerms() that fire (not +0.0) in activePods order, then
+     * humidityTerm() when enabled and the AC-full unit; the last step's
+     * centeringTerm()s follow the loop.  The score is the penalty, plus
+     * the energy term when energy-aware, plus @p switchTerm.  The rollout
+     * is abandoned (false; @p traj and @p out unspecified) as soon as a
+     * lower bound on that score, built in the same order from the
+     * penalty and energy so far, reaches @p abandonAtScore.  Every
+     * penalty and energy increment is non-negative and floating-point
+     * accumulation of non-negative terms is monotone, so an abandoned
+     * candidate's full score reaches the threshold too, and a completed
+     * one scores the same at any threshold.  A negative energy weight
+     * turns the bound off.  An unscored epoch charges nothing.
+     */
+    bool scoreStrict(const PlannedCandidate &cand, double switchTerm,
+                     double abandonAtScore, Trajectory &traj,
+                     CandidateScore &out) const;
+
+    /**
+     * The lane instance (the lane-batched engine's): each transition
+     * bank is collapsed, the first time the epoch needs it, into per-pod
+     * affine terms `T' = a*T + b*Tprev + c`, and @p cand runs one fused
+     * pass over its pods, charging the strict instance's utility.hpp
+     * terms, each pod's summed in its own lane.  It is abandoned (false)
+     * once its penalty so far plus @p floor, its score with a zero
+     * penalty, reaches @p abandonAtScore; a completed candidate scores
+     * penalty + @p floor at any threshold.  Scores can differ from the
+     * strict instance's in the last ulps (DESIGN.md §10's tolerance
+     * contract).
      */
     bool scoreLane(const PlannedCandidate &cand, double floor,
                    double abandonAtScore, CandidateScore &out) const;
@@ -279,29 +252,35 @@ class CoolingPredictor
      */
     const ResolvedModels &resolved(const cooling::TransitionKey &key) const;
 
-    /** Lane bank slots: the first step's map into each class, each
-        class's steady map, and AcCompressor -> AcFanOnly. */
+    /** Bank slots: the first step's map into each class, each class's
+        steady map, and AcCompressor -> AcFanOnly. */
     static constexpr int kOffRest = 2 * cooling::kNumRegimeClasses;
+
+    /** The transition key of bank @p slot in this epoch. */
+    cooling::TransitionKey slotKey(int slot) const;
 
     /** Lane bank @p slot's models, collapsed on the epoch's first use. */
     const ResolvedModels &laneBank(int slot) const;
 
-    // Rollout scratch (predictInto is logically const; one predictor per
-    // controller, controllers are never shared across threads): pod
-    // power fractions and compressor-off temperatures.
-    mutable std::vector<double> _podScratch;
-
-    // The lane scorer's epoch (beginLanes): its inputs, penalty weights
-    // and the banks collapsed so far; then its scratch: the banks
-    // ([slot][row][pod]), the padded pod inputs (temps, previous temps,
-    // power fractions, mask), the kernel's lane sums, and the per-step
-    // pod averages and absolute humidities.
-    mutable const PredictorState *_laneState = nullptr;
-    mutable const EpochOutlook *_laneOutlook = nullptr;
-    mutable const PenaltyWeights *_laneWeights = nullptr;
+    // The epoch (beginEpoch; the scorers are logically const, one
+    // predictor per controller, controllers are never shared across
+    // threads): its inputs, the current regime's class, the utility and
+    // penalty weights (null: unscored) and the lane banks collapsed so
+    // far.  Then the scratch: the padded pod inputs (temps, previous
+    // temps, power fractions, mask), the strict instance's
+    // compressor-off temperatures, and the lane instance's banks
+    // ([slot][row][pod]), lane sums, and per-step pod averages and
+    // absolute humidities.
+    mutable const PredictorState *_epochState = nullptr;
+    mutable const EpochOutlook *_epochOutlook = nullptr;
+    mutable const std::vector<int> *_epochActive = nullptr;
+    mutable cooling::RegimeClass _epochFrom = cooling::RegimeClass::Closed;
+    mutable const UtilityConfig *_epochUtility = nullptr;
+    mutable const PenaltyWeights *_epochWeights = nullptr;
     mutable std::array<const ResolvedModels *, kOffRest + 1> _laneBanks{};
-    mutable std::vector<double> _cBanks;
     mutable std::vector<double> _cPods;
+    mutable std::vector<double> _tOff;
+    mutable std::vector<double> _cBanks;
     mutable std::vector<double> _cLaneSum;
     mutable std::vector<double> _cSteps;
 

@@ -15,8 +15,8 @@
  *
  * This header is the one definition of the penalty's terms.  Both
  * candidate scorers call them, each in its own accumulation order: the
- * strict rollout (CoolingPredictor::predictScoredInto) and the lane
- * kernels (core/predictor_kernels.cpp).  The terms are static inline so
+ * strict rollout (CoolingPredictor::scoreStrict) and the lane kernels
+ * (core/predictor_kernels.cpp).  The terms are static inline so
  * the fast-math kernel TU and the strict TUs each compile their own copy
  * (DESIGN.md §10, the linkage rule).
  */

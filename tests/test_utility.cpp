@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the utility (penalty) function of §3.2 through both of its
- * production instances: the strict rollout (predictScoredInto) and the
- * lane scorer (scoreLane).  Each case rolls a hand-built model out onto
+ * production instances: the strict rollout (scoreStrict) and the lane
+ * scorer (scoreLane).  Each case rolls a hand-built model out onto
  * its temperatures, and both instances must charge the hand-computed
  * penalty.
  */
@@ -90,21 +90,13 @@ penalties(const std::vector<double> &temps, const std::vector<double> &init,
         penaltyWeights(cfg, kBand, model.config().stepS / 3600.0);
 
     Penalties out;
-    ScoreContext sc;
-    sc.activePods = &active;
-    sc.weights = &w;
-    sc.utility = &cfg;
+    const PlannedCandidate pc = pred.planCandidate(regime, cfg);
+    pred.beginEpoch(st, outlook, active, &cfg, &w);
     Trajectory traj;
-    EXPECT_TRUE(
-        pred.predictScoredInto(st, regime, outlook, sc, traj, out.strict));
-
-    cooling::RegimeMenu menu;
-    menu.candidates = {regime};
-    std::vector<PlannedCandidate> plan;
-    pred.planCandidates(menu, cfg, plan);
-    pred.beginLanes(st, outlook, active, w);
     CandidateScore cs;
-    EXPECT_TRUE(pred.scoreLane(plan[0], 0.0, INFINITY, cs));
+    EXPECT_TRUE(pred.scoreStrict(pc, 0.0, INFINITY, traj, cs));
+    out.strict = cs.penalty;
+    EXPECT_TRUE(pred.scoreLane(pc, 0.0, INFINITY, cs));
     out.lane = cs.penalty;
     return out;
 }
