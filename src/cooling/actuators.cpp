@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace coolair {
@@ -43,6 +44,24 @@ UnitState::coolingPowerW(const PowerModel &pm) const
         total += pm.evapPumpW;
     total += pm.acPower(acFanSpeed, compressorSpeed);
     return total;
+}
+
+Regime
+UnitState::regime() const
+{
+    switch (mode) {
+      case Mode::Closed:
+        return Regime::closed();
+      case Mode::FreeCooling: {
+        Regime r = Regime::freeCooling(fcFanSpeed);
+        r.evaporative = evapOn;
+        return r;
+      }
+      case Mode::AirConditioning:
+        return compressorSpeed > 0.0 ? Regime::acCompressor(compressorSpeed)
+                                     : Regime::acFanOnly();
+    }
+    util::panic("UnitState::regime: unknown mode");
 }
 
 Actuators::Actuators(const ActuatorConfig &config) : _config(config)

@@ -86,6 +86,11 @@ struct UnitState
 
     /** Total cooling power draw [W] under @p pm. */
     double coolingPowerW(const PowerModel &pm) const;
+
+    /** The regime the units are physically running: free cooling at
+        the fan's speed (evaporative when the pre-cooler is on), AC with
+        the compressor at its speed, or fan-only when it is at 0. */
+    Regime regime() const;
 };
 
 /** Configuration of the actuator model. */

@@ -149,25 +149,6 @@ CoolAir::refreshDay(util::SimTime now)
     }
 }
 
-cooling::Regime
-CoolAir::regimeFromStatus(const plant::CoolingStatus &cs) const
-{
-    switch (cs.mode) {
-      case cooling::Mode::Closed:
-        return cooling::Regime::closed();
-      case cooling::Mode::FreeCooling: {
-        cooling::Regime r = cooling::Regime::freeCooling(cs.fcFanSpeed);
-        r.evaporative = cs.evapOn;
-        return r;
-      }
-      case cooling::Mode::AirConditioning:
-        if (cs.compressorSpeed > 0.0)
-            return cooling::Regime::acCompressor(cs.compressorSpeed);
-        return cooling::Regime::acFanOnly();
-    }
-    util::panic("CoolAir::regimeFromStatus: unknown mode");
-}
-
 CoolAir::Decision
 CoolAir::control(const plant::SensorReadings &sensors,
                  const workload::WorkloadStatus &status,
@@ -175,7 +156,7 @@ CoolAir::control(const plant::SensorReadings &sensors,
 {
     refreshDay(now);
 
-    cooling::Regime current = regimeFromStatus(sensors.cooling);
+    const cooling::Regime current = sensors.cooling.regime();
 
     if (!_havePrev) {
         _prevTemp = sensors.podInletC;

@@ -65,17 +65,6 @@ struct PodLoad
     double podPowerFraction(int pod) const;
 };
 
-/** Physical snapshot of the cooling units, as sensors report it. */
-struct CoolingStatus
-{
-    cooling::Mode mode = cooling::Mode::Closed;
-    double fcFanSpeed = 0.0;
-    double acFanSpeed = 0.0;
-    double compressorSpeed = 0.0;
-    bool damperOpen = false;
-    bool evapOn = false;
-};
-
 /** Everything CoolAir (or the TKS) can observe at one instant. */
 struct SensorReadings
 {
@@ -109,7 +98,8 @@ struct SensorReadings
     /** Outside absolute humidity [g/m^3]. */
     double outsideAbsHumidity = 8.0;
 
-    CoolingStatus cooling;
+    /** Physical snapshot of the cooling units, as sensors report it. */
+    cooling::UnitState cooling;
 
     /** Cooling power draw [W]. */
     double coolingPowerW = 0.0;
@@ -398,9 +388,6 @@ class Plant
 
     /** Noise-free disk temperature for a pod. */
     double diskTempC(int pod) const;
-
-    /** Noise-free disk temperatures for all pods at once. */
-    const std::vector<double> &diskTemps() const { return _lanes.diskTempC; }
 
     /**
      * Fault injection: freeze pod @p pod's temperature sensor at

@@ -618,14 +618,7 @@ readSensorsLanes(PlantLanes &s, SensorReadings *out)
         s.outTempC[size_t(l)] = o.outsideC;
 
         const cooling::Actuators &act = s.act[size_t(l)];
-        const auto &unit = act.state();
-        o.cooling.mode = unit.mode;
-        o.cooling.fcFanSpeed = unit.fcFanSpeed;
-        o.cooling.acFanSpeed = unit.acFanSpeed;
-        o.cooling.compressorSpeed = unit.compressorSpeed;
-        o.cooling.damperOpen = unit.damperOpen;
-        o.cooling.evapOn = unit.evapOn;
-
+        o.cooling = act.state();
         o.coolingPowerW = act.coolingPowerW();
         o.itPowerW = s.itPowerW[size_t(l)];
         o.dcUtilization = s.dcUtilization[size_t(l)];

@@ -68,22 +68,7 @@ ModelPlant::step(const environment::WeatherSample &outside,
     _actuators.setCommand(command);
     _actuators.step(stepS());
     const auto &unit = _actuators.state();
-
-    cooling::Regime actual;
-    switch (unit.mode) {
-      case cooling::Mode::Closed:
-        actual = cooling::Regime::closed();
-        break;
-      case cooling::Mode::FreeCooling:
-        actual = cooling::Regime::freeCooling(unit.fcFanSpeed);
-        actual.evaporative = unit.evapOn;
-        break;
-      case cooling::Mode::AirConditioning:
-        actual = unit.compressorSpeed > 0.0
-                     ? cooling::Regime::acCompressor(unit.compressorSpeed)
-                     : cooling::Regime::acFanOnly();
-        break;
-    }
+    const cooling::Regime actual = unit.regime();
 
     _outsidePrev = _outside;
     _outside = outside;
@@ -155,30 +140,8 @@ ModelPlant::readSensors(util::SimTime now) const
     out.outsideRhPercent = _outside.rhPercent;
     out.outsideAbsHumidity = _outside.absHumidity;
 
-    const auto &unit = _actuators.state();
-    out.cooling.mode = unit.mode;
-    out.cooling.fcFanSpeed = unit.fcFanSpeed;
-    out.cooling.acFanSpeed = unit.acFanSpeed;
-    out.cooling.compressorSpeed = unit.compressorSpeed;
-    out.cooling.damperOpen = unit.damperOpen;
-    out.cooling.evapOn = unit.evapOn;
-
-    cooling::Regime actual;
-    switch (unit.mode) {
-      case cooling::Mode::Closed:
-        actual = cooling::Regime::closed();
-        break;
-      case cooling::Mode::FreeCooling:
-        actual = cooling::Regime::freeCooling(unit.fcFanSpeed);
-        actual.evaporative = unit.evapOn;
-        break;
-      case cooling::Mode::AirConditioning:
-        actual = unit.compressorSpeed > 0.0
-                     ? cooling::Regime::acCompressor(unit.compressorSpeed)
-                     : cooling::Regime::acFanOnly();
-        break;
-    }
-    out.coolingPowerW = _model->predictCoolingPower(actual);
+    out.cooling = _actuators.state();
+    out.coolingPowerW = _model->predictCoolingPower(out.cooling.regime());
     out.itPowerW = _itPowerW;
     out.dcUtilization = _dcUtilization;
     return out;

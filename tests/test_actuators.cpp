@@ -170,3 +170,24 @@ TEST(Actuators, CoolingPowerTracksState)
     act.step(1.0);
     EXPECT_NEAR(act.coolingPowerW(), 2200.0, 1.0);
 }
+
+TEST(UnitState, RegimeFollowsEachMode)
+{
+    UnitState unit;
+    EXPECT_EQ(unit.regime(), Regime::closed());
+
+    unit.mode = Mode::FreeCooling;
+    unit.fcFanSpeed = 0.4;
+    unit.damperOpen = true;
+    EXPECT_EQ(unit.regime(), Regime::freeCooling(0.4));
+    unit.evapOn = true;
+    EXPECT_EQ(unit.regime(), Regime::freeCoolingEvaporative(0.4));
+
+    unit = UnitState{};
+    unit.mode = Mode::AirConditioning;
+    unit.acFanSpeed = 1.0;
+    unit.compressorSpeed = 0.6;
+    EXPECT_EQ(unit.regime(), Regime::acCompressor(0.6));
+    unit.compressorSpeed = 0.0;
+    EXPECT_EQ(unit.regime(), Regime::acFanOnly());
+}
