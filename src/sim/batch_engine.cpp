@@ -85,8 +85,8 @@ BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
                     "batched path (run with batch = 0)");
             parts.climate = std::make_unique<environment::Climate>(
                 ls.location.makeClimate(ls.seed));
-            // The raw climate serves the forecaster: its samples are
-            // bit-identical to the scalar path's cached provider.
+            // The forecaster reads this climate directly, as the scalar
+            // scenario's forecaster reads its own.
             parts.forecaster = std::make_unique<environment::Forecaster>(
                 *parts.climate, ls.forecastError, ls.seed);
             parts.workload = makeWorkload(ls);

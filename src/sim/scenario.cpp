@@ -250,13 +250,6 @@ Scenario::writeReport(const ExperimentResult &result,
 }
 
 void
-Scenario::addTraceSink(TraceSink sink)
-{
-    _sinks.push_back(std::move(sink));
-    installFanout();
-}
-
-void
 Scenario::installFanout()
 {
     if (_sinks.empty())

@@ -115,9 +115,6 @@ class Scenario
      */
     void collectStats(obs::StatsRegistry &reg) const;
 
-    /** Add a trace sink (fan-out; the CSV sink coexists with these). */
-    void addTraceSink(TraceSink sink);
-
     const ExperimentSpec &spec() const { return _spec; }
 
     /** The weather the engine and forecaster consume: the climate. */

@@ -103,7 +103,6 @@ class ResultStore
 
     const std::string &dir() const { return _dir; }
     const std::string &salt() const { return _salt; }
-    int schemaVersion() const { return _schemaVersion; }
 
     /**
      * Reclassify the latest hit as corrupt: the entry passed the CRC

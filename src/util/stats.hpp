@@ -178,9 +178,6 @@ class DailyRangeTracker
     /** Number of completed days. */
     size_t dayCount() const { return _worstRanges.size(); }
 
-    /** Worst per-day ranges for each completed day. */
-    const std::vector<double> &worstRanges() const { return _worstRanges; }
-
   private:
     void closeDay();
     [[noreturn]] static void recordPanic(bool out_of_range);

@@ -43,18 +43,6 @@ ClusterSim::ClusterSim(const ClusterConfig &config, Trace trace)
 }
 
 void
-ClusterSim::setTrace(Trace trace)
-{
-    std::sort(trace.jobs.begin(), trace.jobs.end(),
-              [](const Job &a, const Job &b) { return a.submitS < b.submitS; });
-    _pendingTrace = std::move(trace);
-    _hasPendingTrace = true;
-    _pendingHasDeferrable =
-        std::any_of(_pendingTrace.jobs.begin(), _pendingTrace.jobs.end(),
-                    [](const Job &j) { return j.deferrable(); });
-}
-
-void
 ClusterSim::applyPlan(const ComputePlan &plan)
 {
     _preferenceDirty = _preferenceDirty || plan.podOrder != _plan.podOrder;
@@ -94,18 +82,6 @@ ClusterSim::serverPreference()
                      });
     _preferenceDirty = false;
     return _serverPreference;
-}
-
-void
-ClusterSim::rolloverDay(int day_index)
-{
-    _currentDay = day_index;
-    _nextJobIdx = 0;
-    if (_hasPendingTrace) {
-        _trace = std::move(_pendingTrace);
-        _hasPendingTrace = false;
-        _traceHasDeferrable = _pendingHasDeferrable;
-    }
 }
 
 void
@@ -418,8 +394,10 @@ void
 ClusterSim::step(util::SimTime now, double dt_s)
 {
     int day = int(now.seconds() / util::kSecondsPerDay);
-    if (day != _currentDay)
-        rolloverDay(day);
+    if (day != _currentDay) {
+        _currentDay = day;
+        _nextJobIdx = 0;
+    }
 
     completeTasks(now);
     releaseJobs(now);

@@ -74,9 +74,6 @@ class ClusterSim : public WorkloadModel
   public:
     ClusterSim(const ClusterConfig &config, Trace trace);
 
-    /** Replace the day trace (takes effect at the next day boundary). */
-    void setTrace(Trace trace);
-
     /**
      * Inject a job directly (bypassing the day trace).  @p job's submitS
      * is interpreted as an absolute time; the job is released
@@ -144,7 +141,6 @@ class ClusterSim : public WorkloadModel
         bool isMap = true;
     };
 
-    void rolloverDay(int day_index);
     void activateJob(const Job &job, int64_t released, int64_t abs_submit);
     void releaseJobs(util::SimTime now);
     void completeTasks(util::SimTime now);
@@ -156,10 +152,7 @@ class ClusterSim : public WorkloadModel
 
     ClusterConfig _config;
     Trace _trace;
-    Trace _pendingTrace;
-    bool _hasPendingTrace = false;
     bool _traceHasDeferrable = false;    ///< any_of(_trace), cached.
-    bool _pendingHasDeferrable = false;  ///< same for _pendingTrace.
     ComputePlan _plan = ComputePlan::passthrough();
 
     std::vector<Server> _servers;
